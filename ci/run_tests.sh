@@ -3,7 +3,10 @@
 # plain, then under AddressSanitizer + UBSan, then under ThreadSanitizer
 # (SPP_SANITIZE, see the top-level CMakeLists.txt), and finally as a
 # -Werror strict-warnings build (SPP_WERROR).  Any leg failing fails the
-# gate.  The sanitized leg also runs the end-to-end survivable-run smoke
+# gate.  The plain leg also checks every sppsim-bench smoke digest against
+# the committed bench/baselines (fiber backend): a host-side performance
+# change must leave every simulated counter bit-identical, and this is the
+# gating check of that.  The sanitized leg also runs the end-to-end survivable-run smoke
 # (sppsim-explore survive + chaos, docs/RECOVERY.md): all four apps must
 # recover from a mid-run CPU fail-stop to the fault-free answer, under
 # asan, with the spp::check oracles attached.
@@ -73,6 +76,8 @@ run_suite() {
 if [[ "$MODE" == "all" || "$MODE" == "--plain-only" ]]; then
   echo "=== tier-1: plain build ==="
   run_suite build
+  echo "=== tier-1: smoke digests vs bench/baselines ==="
+  build/tools/sppsim-bench --smoke --backend fibers --check bench/baselines
 fi
 
 survive_smoke() {

@@ -369,17 +369,36 @@ NbodyDiagnostics NbodyShared::diagnostics() const {
     d.pz += m * vz_->raw(i);
     d.mass += m;
   }
-  // Potential by direct sum only for small problems (O(N^2)).
-  if (n <= 16384) {
+  // Potential by direct sum only for small problems (O(N^2)).  Shaped to
+  // vectorize: raw pointers, four independent lane sums per particle and a
+  // scalar tail (spp_apps builds with -fno-math-errno, so the sqrt inlines).
+  // The summation order differs from a plain double loop by rounding only.
+  if (n > 0 && n <= 16384) {
     const double eps2 = cfg_.eps * cfg_.eps;
+    const double* x = &px_->raw(0);
+    const double* y = &py_->raw(0);
+    const double* z = &pz_->raw(0);
+    const double* m = &mass_->raw(0);
     for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = i + 1; j < n; ++j) {
-        const double dx = px_->raw(j) - px_->raw(i);
-        const double dy = py_->raw(j) - py_->raw(i);
-        const double dz = pz_->raw(j) - pz_->raw(i);
-        d.potential -= mass_->raw(i) * mass_->raw(j) /
-                       std::sqrt(dx * dx + dy * dy + dz * dz + eps2);
+      const double xi = x[i], yi = y[i], zi = z[i];
+      double lane[4] = {0, 0, 0, 0};
+      std::size_t j = i + 1;
+      for (; j + 4 <= n; j += 4) {
+        for (std::size_t k = 0; k < 4; ++k) {
+          const double dx = x[j + k] - xi;
+          const double dy = y[j + k] - yi;
+          const double dz = z[j + k] - zi;
+          lane[k] += m[j + k] / std::sqrt(dx * dx + dy * dy + dz * dz + eps2);
+        }
       }
+      double sum = (lane[0] + lane[1]) + (lane[2] + lane[3]);
+      for (; j < n; ++j) {
+        const double dx = x[j] - xi;
+        const double dy = y[j] - yi;
+        const double dz = z[j] - zi;
+        sum += m[j] / std::sqrt(dx * dx + dy * dy + dz * dz + eps2);
+      }
+      d.potential -= m[i] * sum;
     }
   }
   return d;

@@ -41,6 +41,16 @@ constexpr PAddr make_paddr(unsigned fu, std::uint64_t offset) {
   return (static_cast<PAddr>(fu) << kFuWindowBits) | offset;
 }
 
+/// Width of the line field packed into L1 and global-cache entries.  A
+/// 16-hypernode machine has 64 FU windows of 2^36 bytes, so its lines stay
+/// below 2^37; the field's all-ones value is free for the empty-slot
+/// sentinel.
+inline constexpr unsigned kLineFieldBits = 48;
+/// The sentinel doubles as the mask stores into the field apply: a no-op on
+/// every line a machine can name, and it shows -Wconversion the narrowing
+/// is safe.
+inline constexpr LineAddr kNoLineField = (LineAddr{1} << kLineFieldBits) - 1;
+
 /// Cache-index line number.  VMem places every allocation at a machine-wide
 /// unique offset (the same offset inside whichever FU window hosts each
 /// page/block), so the within-window offset alone is a conflict-faithful

@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "spp/arch/address.h"
@@ -26,12 +25,14 @@ enum class LineState : std::uint8_t {
 /// Direct-mapped cache of physical line addresses.
 class L1Cache {
  public:
+  static constexpr LineAddr kNoLine = kNoLineField;
+
+  /// 8 bytes: the line in a kLineFieldBits bit-field, the state beside it.
+  /// A 1 MB L1 is 32 Ki entries, so the packing halves each CPU's array.
   struct Entry {
-    LineAddr line = kNoLine;
+    LineAddr line : kLineFieldBits = kNoLine;
     LineState state = LineState::kInvalid;
   };
-
-  static constexpr LineAddr kNoLine = std::numeric_limits<LineAddr>::max();
 
   explicit L1Cache(std::uint64_t bytes = 1ull << 20, unsigned num_fus = 1)
       : sets_(bytes / kLineBytes),
@@ -80,7 +81,7 @@ class L1Cache {
   /// Installs a line (caller has already handled the previous occupant).
   void install(LineAddr line, LineState state) {
     Entry& e = slot(line);
-    e.line = line;
+    e.line = line & kNoLine;
     e.state = state;
   }
 
@@ -133,5 +134,7 @@ class L1Cache {
 };
 
 inline const L1Cache::Entry L1Cache::kEmpty{};
+
+static_assert(sizeof(L1Cache::Entry) == 8, "L1 entries must stay packed");
 
 }  // namespace spp::arch

@@ -91,18 +91,16 @@ sim::Time Machine::access(unsigned cpu, VAddr va, bool write, sim::Time now) {
   if (va_line == mru.va_line) {
     pa = mru.pa_line | (va & (kLineBytes - 1));
   } else {
-    pa = vm_.translate(va, cpu);
-    // Cache the line only if it maps uniformly (PA linear in VA across the
-    // whole line).  Always true when interleave granularities are line
-    // multiples; a BlockShared region with a ragged block size (tolerated
-    // in release builds) can split a line across blocks, and replaying such
-    // a line from the MRU would diverge from per-access translation.
-    const PAddr pa_base =
-        va == va_line ? pa : vm_.translate(va_line, cpu);
-    if (vm_.translate(va_line + kLineBytes - 1, cpu) ==
-        pa_base + (kLineBytes - 1)) {
+    // One region lookup gives the PA and whether the line maps uniformly
+    // (PA linear in VA across the whole line).  Only a uniform line is
+    // cached: a BlockShared region with a ragged block size (tolerated in
+    // release builds) can split a line across blocks, and replaying such a
+    // line from the MRU would diverge from per-access translation.
+    bool uniform;
+    pa = vm_.translate_line(va, cpu, &uniform);
+    if (uniform) {
       mru.va_line = va_line;
-      mru.pa_line = pa_base;
+      mru.pa_line = pa - (va - va_line);
     } else {
       mru.va_line = ~VAddr{0};
     }
@@ -113,42 +111,49 @@ sim::Time Machine::access(unsigned cpu, VAddr va, bool write, sim::Time now) {
 sim::Time Machine::access_at(unsigned cpu, VAddr va, PAddr pa, bool write,
                              sim::Time now) {
   const LineAddr line = line_of(pa);
+  // The line's direct-mapped slot.  Every cached access ends up holding the
+  // line there (hit, upgrade or fill), so materialising the slot's storage
+  // now changes nothing observable; one probe then serves the gate
+  // pre-check, the dispatch and the fill's eviction.
+  L1Cache::Entry* slot = &l1_[cpu].slot(line);
+  LineState st = slot->line == line ? slot->state : LineState::kInvalid;
 
   // PDES cross-shard gate: if this access could leave the CPU's own shard,
-  // park at the fusion rendezvous BEFORE reading any protocol state the
-  // dispatch below depends on.  The whole decision tree (L1 state, upgrade
-  // vs. fill, gcache hit) then re-runs against fusion-time state, so no
-  // branch downstream can act on a pre-park snapshot.  The probe here is
-  // conservative: a stale "cross" answer only serializes the access, it
-  // never corrupts state.
-  if (gate_ != nullptr) {
-    const LineState pst = l1_[cpu].state_of(line);
-    if (pst == LineState::kInvalid || (pst == LineState::kShared && write)) {
-      const unsigned my_node = topo_.node_of_cpu(cpu);
-      const unsigned home_fu = home_fu_of(pa);
-      bool cross;
-      if (topo_.node_of_fu(home_fu) == my_node) {
-        // Home is local: only a remote-dirty recall or an SCI purge walk
-        // leaves the shard.
-        const HomeEntry* e = directory_[my_node].find(line);
-        cross = e != nullptr &&
-                (e->remote_dirty || (write && !e->sci_list.empty()));
-      } else if (pst == LineState::kShared) {
-        cross = true;  // Write upgrade negotiates through the remote home.
-      } else {
-        // Remote-home miss: node-local only on a usable gcache buffer hit.
-        const sci::GCache::Entry& ge =
-            gcache_for(my_node, topo_.ring_of_fu(home_fu)).slot(line);
-        cross = !(ge.line == line && (!write || ge.dirty));
-      }
-      if (cross) gate_->on_cross();
+  // park at the fusion rendezvous BEFORE acting on any protocol state the
+  // dispatch below depends on.  A park re-reads the slot, so the whole
+  // decision tree (L1 state, upgrade vs. fill, gcache hit) then re-runs
+  // against fusion-time state and no branch downstream can act on a
+  // pre-park snapshot.  The probe here is conservative: a stale "cross"
+  // answer only serializes the access, it never corrupts state.
+  if (gate_ != nullptr &&
+      (st == LineState::kInvalid || (st == LineState::kShared && write))) {
+    const unsigned my_node = topo_.node_of_cpu(cpu);
+    const unsigned home_fu = home_fu_of(pa);
+    bool cross;
+    if (topo_.node_of_fu(home_fu) == my_node) {
+      // Home is local: only a remote-dirty recall or an SCI purge walk
+      // leaves the shard.
+      const HomeEntry* e = directory_[my_node].find(line);
+      cross = e != nullptr &&
+              (e->remote_dirty || (write && !e->sci_list.empty()));
+    } else if (st == LineState::kShared) {
+      cross = true;  // Write upgrade negotiates through the remote home.
+    } else {
+      // Remote-home miss: node-local only on a usable gcache buffer hit.
+      const sci::GCache::Entry& ge =
+          gcache_for(my_node, topo_.ring_of_fu(home_fu)).slot(line);
+      cross = !(ge.line == line && (!write || ge.dirty));
+    }
+    if (cross) {
+      gate_->on_cross();
+      // Other threads may have run (and touched this L1) meanwhile.
+      slot = &l1_[cpu].slot(line);
+      st = slot->line == line ? slot->state : LineState::kInvalid;
     }
   }
 
   CpuCounters& c = perf_.cpu[cpu];
   (write ? c.stores : c.loads)++;
-
-  const LineState st = l1_[cpu].state_of(line);
 
   // Snapshot checker-visible pre-state before the protocol mutates anything
   // (one branch when no observer is attached).
@@ -168,7 +173,7 @@ sim::Time Machine::access_at(unsigned cpu, VAddr va, PAddr pa, bool write,
       (st == LineState::kShared && !write)) {
     if (write && st == LineState::kExclusive) {
       // Exclusive-clean: silent upgrade, no coherence transaction.
-      l1_[cpu].install(line, LineState::kModified);
+      slot->state = LineState::kModified;
     } else {
       // A pure hit with zero protocol transitions: the only access kind the
       // memo recorder may mark replayable (the E->M silent upgrade above
@@ -186,7 +191,7 @@ sim::Time Machine::access_at(unsigned cpu, VAddr va, PAddr pa, bool write,
                  ? local_upgrade(cpu, pa, now)
                  : remote_upgrade(cpu, pa, now);
     } else {
-      done = miss_fill(cpu, pa, write, now);
+      done = miss_fill(cpu, *slot, pa, write, now);
     }
     c.mem_stall += done - now;
   }
@@ -232,10 +237,10 @@ sim::Time Machine::access_block(unsigned cpu, VAddr va, std::uint64_t bytes,
   return now;
 }
 
-sim::Time Machine::miss_fill(unsigned cpu, PAddr pa, bool write, sim::Time t) {
+sim::Time Machine::miss_fill(unsigned cpu, L1Cache::Entry& slot, PAddr pa,
+                             bool write, sim::Time t) {
   // Make room in the direct-mapped set first.
   const LineAddr line = line_of(pa);
-  L1Cache::Entry& slot = l1_[cpu].slot(line);
   if (slot.state != LineState::kInvalid && slot.line != line) {
     evict_l1_entry(cpu, slot, t);
   }
@@ -507,7 +512,7 @@ sim::Time Machine::remote_fill(unsigned cpu, PAddr pa, bool write,
   // write upgrades silently.
   const bool sole = !write && e.cpu_sharers == 0 && e.sci_list.empty() &&
                     !e.remote_dirty && e.owner_cpu < 0;
-  ge.line = line;
+  ge.line = line & sci::GCache::kNoLine;
   ge.dirty = write || sole;
   ge.cpu_sharers = bit(cpu_in_node);
   t += sim::cycles(cm_.xbar_transit + cm_.l1_fill);
@@ -516,10 +521,7 @@ sim::Time Machine::remote_fill(unsigned cpu, PAddr pa, bool write,
                                 : LineState::kShared);
 
   // Home directory update: attach at the head of the SCI sharing list.
-  auto it = std::find(e.sci_list.begin(), e.sci_list.end(),
-                      static_cast<std::uint8_t>(my_node));
-  if (it != e.sci_list.end()) e.sci_list.erase(it);
-  e.sci_list.insert(e.sci_list.begin(), static_cast<std::uint8_t>(my_node));
+  e.sci_list.push_front(static_cast<std::uint8_t>(my_node));
   if (write || sole) {
     e.remote_dirty = true;
     e.owner_node = static_cast<std::uint8_t>(my_node);
@@ -560,7 +562,8 @@ sim::Time Machine::remote_upgrade(unsigned cpu, PAddr pa, sim::Time t) {
       sim::cycles(cm_.ring_if);
 
   // Grant: this node now holds the only, dirty copy.
-  e.sci_list.assign(1, static_cast<std::uint8_t>(my_node));
+  e.sci_list.clear();
+  e.sci_list.push_front(static_cast<std::uint8_t>(my_node));
   e.remote_dirty = true;
   e.owner_node = static_cast<std::uint8_t>(my_node);
 
@@ -596,15 +599,13 @@ sim::Time Machine::purge_remote(LineAddr line, HomeEntry& e,
   // weak ordering lets the writer continue once ownership is granted); the
   // writer's critical path pays the walk initiation plus a pipelined command
   // cost per sharer, while the walk itself occupies the ring links.
+  // (The walk touches rings, gcaches and L1s, never the directory, so `e`
+  // stays valid throughout.)
   bool purged_any = false;
   unsigned purged = 0;
   sim::Time walk = t;
-  std::vector<std::uint8_t> kept;
   for (const std::uint8_t node : e.sci_list) {
-    if (node == keep_node) {
-      kept.push_back(node);
-      continue;
-    }
+    if (node == keep_node) continue;
     walk = rings_.transit(ring, home_node, node, walk);
     walk += sim::cycles(cm_.sci_purge_per_node);
     sci::GCache::Entry& ge = gcache_for(node, ring).slot(line);
@@ -622,7 +623,7 @@ sim::Time Machine::purge_remote(LineAddr line, HomeEntry& e,
     ++perf_.sci_purges;
     t += sim::cycles(cm_.sci_purge_init + cm_.sci_purge_issue * purged);
   }
-  e.sci_list = std::move(kept);
+  e.sci_list.keep_only(static_cast<std::uint8_t>(keep_node));
   if (e.sci_list.empty()) e.remote_dirty = false;
   return t;
 }
@@ -657,9 +658,7 @@ sim::Time Machine::recall_remote_dirty(LineAddr line, HomeEntry& e,
   }
   e.remote_dirty = false;
   if (!owner_keeps_shared) {
-    e.sci_list.erase(std::remove(e.sci_list.begin(), e.sci_list.end(),
-                                 static_cast<std::uint8_t>(owner)),
-                     e.sci_list.end());
+    e.sci_list.remove(static_cast<std::uint8_t>(owner));
   }
   return t;
 }
@@ -736,9 +735,7 @@ void Machine::evict_gcache_entry(unsigned node, [[maybe_unused]] unsigned ring,
   FlatMap<LineAddr, HomeEntry>& dir = dir_for(victim);
   HomeEntry* e = dir.find(victim);
   if (e != nullptr) {
-    e->sci_list.erase(std::remove(e->sci_list.begin(), e->sci_list.end(),
-                                  static_cast<std::uint8_t>(node)),
-                      e->sci_list.end());
+    e->sci_list.remove(static_cast<std::uint8_t>(node));
     if (e->remote_dirty && e->owner_node == node) {
       e->remote_dirty = false;
       // Rollout writeback occupies the home bank off the critical path.
@@ -895,7 +892,7 @@ Machine::DirView Machine::dir_view(LineAddr line) const {
   v.owner_cpu = e->owner_cpu;
   v.remote_dirty = e->remote_dirty;
   v.owner_node = e->owner_node;
-  v.sci_list = e->sci_list;
+  v.sci_list.assign(e->sci_list.begin(), e->sci_list.end());
   return v;
 }
 

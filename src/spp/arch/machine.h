@@ -12,6 +12,7 @@
 // Thread safety: NONE by design; see DESIGN.md section 5.1.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
@@ -236,14 +237,46 @@ class Machine {
   }
 
  private:
+  /// SCI sharing list: remote sharer nodes, head first, each at most once.
+  /// Stored centrally for simplicity; semantics match the distributed
+  /// doubly-linked list.  Inline, since a list never outgrows kMaxNodes:
+  /// remote fills and purges allocate nothing.
+  class SciList {
+   public:
+    bool empty() const { return n_ == 0; }
+    const std::uint8_t* begin() const { return nodes_.data(); }
+    const std::uint8_t* end() const { return nodes_.data() + n_; }
+    void clear() { n_ = 0; }
+    /// Drops `node` if listed, keeping the others in order.
+    void remove(std::uint8_t node) {
+      std::uint8_t* last = std::remove(nodes_.data(), nodes_.data() + n_, node);
+      n_ = static_cast<std::uint8_t>(last - nodes_.data());
+    }
+    /// Makes `node` the head (moving it there if already listed).
+    void push_front(std::uint8_t node) {
+      remove(node);
+      std::copy_backward(nodes_.data(), nodes_.data() + n_,
+                         nodes_.data() + n_ + 1);
+      nodes_[0] = node;
+      ++n_;
+    }
+    /// Drops every node except `node`, which stays if listed.
+    void keep_only(std::uint8_t node) {
+      n_ = std::find(begin(), end(), node) != end() ? 1 : 0;
+      nodes_[0] = node;
+    }
+
+   private:
+    std::array<std::uint8_t, kMaxNodes> nodes_{};
+    std::uint8_t n_ = 0;
+  };
+
   struct HomeEntry {
     std::uint8_t cpu_sharers = 0;  ///< L1 sharers among the home node's CPUs.
     int owner_cpu = -1;            ///< local CPU holding Modified, or -1.
     bool remote_dirty = false;     ///< a remote node holds the only copy.
     std::uint8_t owner_node = 0;   ///< valid when remote_dirty.
-    /// SCI sharing list: remote sharer nodes, head first.  Stored centrally
-    /// for simplicity; semantics match the distributed doubly-linked list.
-    std::vector<std::uint8_t> sci_list;
+    SciList sci_list;
 
     bool empty() const {
       return cpu_sharers == 0 && owner_cpu < 0 && !remote_dirty &&
@@ -293,7 +326,9 @@ class Machine {
   sim::Time access_at(unsigned cpu, VAddr va, PAddr pa, bool write,
                       sim::Time now);
 
-  sim::Time miss_fill(unsigned cpu, PAddr pa, bool write, sim::Time t);
+  /// `slot` is `cpu`'s L1 slot for the line of `pa`.
+  sim::Time miss_fill(unsigned cpu, L1Cache::Entry& slot, PAddr pa,
+                      bool write, sim::Time t);
   sim::Time local_fill(unsigned cpu, PAddr pa, bool write, sim::Time t);
   sim::Time remote_fill(unsigned cpu, PAddr pa, bool write, sim::Time t);
   sim::Time local_upgrade(unsigned cpu, PAddr pa, sim::Time t);

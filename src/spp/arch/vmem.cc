@@ -85,7 +85,26 @@ const Region& VMem::region_of(VAddr va) const {
 }
 
 PAddr VMem::translate(VAddr va, unsigned cpu) const {
+  return translate_in(region_of(va), va, cpu);
+}
+
+PAddr VMem::translate_line(VAddr va, unsigned cpu, bool* uniform) const {
   const Region& r = region_of(va);
+  // Regions are page-aligned and page-sized, and pages are line multiples,
+  // so a line never leaves its region or crosses a page boundary; only a
+  // ragged block can split it.  Adjacent blocks always land in different
+  // FUs, so a line split across blocks is never linear.
+  if (r.mem_class == MemClass::kBlockShared) {
+    const std::uint64_t first = (va & ~(kLineBytes - 1)) - r.base;
+    *uniform = first / r.block_bytes ==
+               (first + kLineBytes - 1) / r.block_bytes;
+  } else {
+    *uniform = true;
+  }
+  return translate_in(r, va, cpu);
+}
+
+PAddr VMem::translate_in(const Region& r, VAddr va, unsigned cpu) const {
   const std::uint64_t off = va - r.base;
   const unsigned my_node = topo_.node_of_cpu(cpu);
 

@@ -68,6 +68,14 @@ class VMem {
   /// NodePrivate resolve to the accessor's own instance.
   PAddr translate(VAddr va, unsigned cpu) const;
 
+  /// One region lookup for the translation MRU: returns translate(va, cpu)
+  /// and sets `*uniform` to whether the whole line containing `va` maps
+  /// linearly (PA - VA constant across the line's 32 bytes).  Every line is
+  /// uniform except, in a BlockShared region whose block size is not a line
+  /// multiple (tolerated in release builds), a line straddling a block
+  /// boundary.
+  PAddr translate_line(VAddr va, unsigned cpu, bool* uniform) const;
+
   /// Like translate(), but also reports the end (one past the last byte) of
   /// the PHYSICALLY CONTIGUOUS run containing `va`: within [va, *run_end)
   /// the physical address advances linearly with the virtual address, so
@@ -88,6 +96,9 @@ class VMem {
   std::uint64_t reserved_bytes_per_fu() const { return fu_bump_; }
 
  private:
+  /// translate() within an already-found region.
+  PAddr translate_in(const Region& r, VAddr va, unsigned cpu) const;
+
   Topology topo_;
   std::vector<Region> regions_;  ///< sorted by base.
   VAddr vbump_ = kPageBytes;     ///< never hand out address 0.

@@ -122,7 +122,7 @@ void SThread::rebind_cpu(unsigned cpu) {
   if (state_ == State::kReady) {
     conductor_->ready_by_node_[node_].erase(this);
     node_ = n;
-    conductor_->ready_by_node_[n].insert(this);
+    conductor_->make_ready(this, n);
   } else if (state_ == State::kBlocked &&
              reason_.kind != BlockReason::Kind::kFusion) {
     --conductor_->blocked_by_node_[node_];
@@ -407,7 +407,7 @@ SThread* Conductor::spawn(std::function<void()> fn, unsigned cpu,
       new SThread(this, tid, cpu, node, start, std::move(fn)));
   SThread* raw = t.get();
   owned_[node].push_back(std::move(t));
-  ready_by_node_[node].insert(raw);
+  make_ready(raw, node);
   live_.fetch_add(1, std::memory_order_relaxed);
   return raw;
 }
@@ -428,13 +428,12 @@ std::size_t Conductor::total_blocked() const {
 void Conductor::loop() {
   ReadySet& ready = ready_by_node_[0];
   while (!ready.empty()) {
-    SThread* t = *ready.begin();
-    ready.erase(ready.begin());
+    SThread* t = ready.pop();
     t->run_once();
     bump_progress();
     switch (t->state()) {
       case SThread::State::kReady:
-        ready.insert(t);
+        make_ready(t, 0);
         break;
       case SThread::State::kBlocked:
         ++blocked_by_node_[0];
@@ -484,7 +483,7 @@ void Conductor::engine_loop() {
     for (unsigned n = 0; n < nodes_; ++n) {
       if (ready_by_node_[n].empty()) continue;
       any_ready = true;
-      const sim::Time c = (*ready_by_node_[n].begin())->clock();
+      const sim::Time c = ready_by_node_[n].top().clock;
       if (c < min_clock) min_clock = c;
     }
     if (!any_ready) break;
@@ -524,15 +523,14 @@ void Conductor::engine_loop() {
 
 void Conductor::drain_node(unsigned n) try {
   ReadySet& ready = ready_by_node_[n];
-  while (!ready.empty() && (*ready.begin())->clock() <= horizon_) {
-    SThread* t = *ready.begin();
-    ready.erase(ready.begin());
+  while (!ready.empty() && ready.top().clock <= horizon_) {
+    SThread* t = ready.pop();
     t->run_once();
     bump_progress();
     switch (t->state()) {
       case SThread::State::kReady:
         // t->node_ (not n): a fault-migrated thread rejoins its new shard.
-        ready_by_node_[t->node_].insert(t);
+        make_ready(t, t->node_);
         break;
       case SThread::State::kBlocked:
         if (t->reason_.kind != BlockReason::Kind::kFusion) {
@@ -572,7 +570,7 @@ void Conductor::fuse() {
     bump_progress();
     switch (t->state()) {
       case SThread::State::kReady:
-        ready_by_node_[t->node_].insert(t);
+        make_ready(t, t->node_);
         break;
       case SThread::State::kBlocked:
         ++blocked_by_node_[t->node_];
@@ -658,9 +656,10 @@ void Conductor::yield(sim::Time slack) {
   ReadySet& ready = ready_by_node_[me.node_];
   // Fast path: nobody ready is earlier than us (within the slack), so a
   // handoff would resume us immediately anyway.
-  if (ready.empty() || (*ready.begin())->clock() + slack > me.clock() ||
-      ((*ready.begin())->clock() + slack == me.clock() &&
-       (*ready.begin())->tid() > me.tid())) {
+  if (ready.empty()) return;
+  const ReadySet::Entry& first = ready.top();
+  if (first.clock + slack > me.clock_ ||
+      (first.clock + slack == me.clock_ && first.tid > me.tid_)) {
     return;
   }
   me.hand_back(SThread::State::kReady);
@@ -705,16 +704,14 @@ void Conductor::unblock(SThread* t, sim::Time at) {
   assert(t->state() == SThread::State::kBlocked);
   t->clock_ = std::max(t->clock_, at);
   t->state_ = SThread::State::kReady;
-  ready_by_node_[t->node_].insert(t);
+  make_ready(t, t->node_);
   --blocked_by_node_[t->node_];
 }
 
 sim::Time Conductor::min_other_ready_clock() const {
   sim::Time best = ~sim::Time{0};
   for (const ReadySet& ready : ready_by_node_) {
-    if (!ready.empty() && (*ready.begin())->clock() < best) {
-      best = (*ready.begin())->clock();
-    }
+    if (!ready.empty() && ready.top().clock < best) best = ready.top().clock;
   }
   return best;
 }

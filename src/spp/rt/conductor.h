@@ -62,7 +62,6 @@
 #include <exception>
 #include <functional>
 #include <memory>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -75,6 +74,7 @@
 #include "spp/pdes/spsc.h"
 #include "spp/rt/fiber.h"
 #include "spp/rt/host_mutex.h"
+#include "spp/rt/ready_queue.h"
 #include "spp/sim/time.h"
 
 namespace spp::memo {
@@ -412,14 +412,12 @@ class Conductor : public arch::CrossGate {
   friend class FusionScope;
   friend class ShardedConductor;
 
-  struct Order {
-    bool operator()(const SThread* a, const SThread* b) const {
-      if (a->clock() != b->clock()) return a->clock() < b->clock();
-      return a->tid() < b->tid();
-    }
-  };
+  using ReadySet = ReadyQueue<SThread>;
 
-  using ReadySet = std::set<SThread*, Order>;
+  /// Queues `t` on shard `node`'s ready heap under its current key.
+  void make_ready(SThread* t, unsigned node) {
+    ready_by_node_[node].push(t->clock_, t->tid_, t);
+  }
 
   /// A thread parked at a cross-shard gate, awaiting fusion.
   struct Parked {

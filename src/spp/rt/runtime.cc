@@ -57,8 +57,7 @@ void Runtime::run(const std::function<void()>& fn) {
   active_ = prev_active_;
 }
 
-void Runtime::poll_faults(SThread& me) {
-  if (fault_hook_ == nullptr) return;
+void Runtime::poll_faults_slow(SThread& me) {
   fault_hook_->poll(me.clock());
   if (!fault_hook_->cpu_failed(me.cpu())) return;
   if (fail_stop_policy_ != nullptr && fail_stop_policy_->kill_current()) {

@@ -270,7 +270,13 @@ class Runtime {
                                    fail_stop_policy_ != nullptr);
   }
   /// Applies pending faults and migrates the thread off a failed CPU.
-  void poll_faults(SThread& me);
+  /// Every charged operation calls this, so the no-hook case is one inline
+  /// pointer test (the RingFabric::faults_armed_ latch pattern); only an
+  /// installed hook takes the out-of-line slow path.
+  void poll_faults(SThread& me) {
+    if (fault_hook_ != nullptr) poll_faults_slow(me);
+  }
+  void poll_faults_slow(SThread& me);
   /// Deterministic surviving CPU for a thread found on failed `cpu`.
   unsigned surviving_cpu(unsigned cpu) const;
 

@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "spp/arch/address.h"
@@ -21,14 +20,15 @@ namespace spp::sci {
 /// One global-cache buffer (one node x one ring).
 class GCache {
  public:
-  struct Entry {
-    arch::LineAddr line = kNoLine;
-    bool dirty = false;           ///< node holds the only, modified copy.
-    std::uint8_t cpu_sharers = 0; ///< bitmask over the node's 8 CPUs.
-  };
+  static constexpr arch::LineAddr kNoLine = arch::kNoLineField;
 
-  static constexpr arch::LineAddr kNoLine =
-      std::numeric_limits<arch::LineAddr>::max();
+  /// 8 bytes: the line in an arch::kLineFieldBits bit-field, then the
+  /// dirty bit and the sharer mask.
+  struct Entry {
+    arch::LineAddr line : arch::kLineFieldBits = kNoLine;
+    bool dirty : 1 = false;        ///< node holds the only, modified copy.
+    std::uint8_t cpu_sharers = 0;  ///< bitmask over the node's 8 CPUs.
+  };
 
   explicit GCache(std::uint64_t bytes, unsigned num_fus = 1)
       : sets_(bytes / arch::kLineBytes), num_fus_(num_fus) {}
@@ -85,5 +85,7 @@ class GCache {
 };
 
 inline const GCache::Entry GCache::kEmpty{};
+
+static_assert(sizeof(GCache::Entry) == 8, "gcache entries must stay packed");
 
 }  // namespace spp::sci

@@ -4,9 +4,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <random>
+#include <set>
+#include <tuple>
 #include <vector>
 
 #include "spp/rt/garray.h"
+#include "spp/rt/ready_queue.h"
 #include "spp/rt/runtime.h"
 #include "spp/rt/sync.h"
 #include "spp/rt/watchdog.h"
@@ -95,6 +99,147 @@ TEST(Conductor, DeadlockIsDetected) {
         s.p();  // nobody will ever v()
       }),
       std::runtime_error);
+}
+
+// --- Ready queue -------------------------------------------------------------
+
+/// Differential test of the conductor's heap against the std::set it
+/// replaced: random clocks from a tiny range (so most keys tie on clock and
+/// break on tid), interleaved push, pop, peek and arbitrary erase.
+TEST(ReadyQueue, MatchesOrderedSetReference) {
+  struct Item {
+    sim::Time clock = 0;
+    unsigned tid = 0;
+    bool queued = false;
+  };
+  using Key = std::tuple<sim::Time, unsigned, Item*>;
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    std::mt19937_64 rng(seed);
+    std::vector<Item> items(64);
+    for (unsigned i = 0; i < items.size(); ++i) items[i].tid = i * 7 % 64;
+    ReadyQueue<Item> heap;
+    std::set<Key> ref;
+    for (int op = 0; op < 20000; ++op) {
+      Item& it = items[rng() % items.size()];
+      switch (rng() % 4) {
+        case 0:
+        case 1:  // push (if not already queued)
+          if (!it.queued) {
+            it.clock = rng() % 6;
+            it.queued = true;
+            heap.push(it.clock, it.tid, &it);
+            ref.emplace(it.clock, it.tid, &it);
+          }
+          break;
+        case 2:  // pop the minimum
+          if (!ref.empty()) {
+            Item* want = std::get<2>(*ref.begin());
+            ref.erase(ref.begin());
+            ASSERT_EQ(heap.pop(), want) << "seed " << seed << " op " << op;
+            want->queued = false;
+          }
+          break;
+        case 3:  // erase an arbitrary item (queued or not)
+          ASSERT_EQ(heap.erase(&it), it.queued);
+          if (it.queued) {
+            ref.erase(Key{it.clock, it.tid, &it});
+            it.queued = false;
+          }
+          break;
+      }
+      ASSERT_EQ(heap.size(), ref.size());
+      if (!ref.empty()) {
+        ASSERT_EQ(heap.top().item, std::get<2>(*ref.begin()));
+        ASSERT_EQ(heap.top().clock, std::get<0>(*ref.begin()));
+      }
+    }
+    while (!ref.empty()) {  // drain: full order check
+      ASSERT_EQ(heap.pop(), std::get<2>(*ref.begin()));
+      ref.erase(ref.begin());
+    }
+    EXPECT_TRUE(heap.empty());
+  }
+}
+
+/// Per-thread record of a migration run: (tid, cpu, node, clock) at each
+/// worker's first dispatch and at its end, in host execution order.
+struct MigrationRun {
+  std::vector<std::tuple<unsigned, unsigned, unsigned, sim::Time>> starts;
+  std::vector<std::tuple<unsigned, unsigned, unsigned, sim::Time>> ends;
+  std::uint64_t digest = 0;
+  sim::Time elapsed = 0;
+};
+
+/// Four workers are spawned Ready on hypernode 0; before any runs, one is
+/// moved to a CPU on hypernode 1 with rebind_cpu() (the cross-node fault
+/// migration path), which takes it out of one shard's ready heap and into
+/// the other's.
+MigrationRun ready_migration_run(ConductorBackend backend) {
+  Runtime rt(Topology{.nodes = 2}, arch::CostModel{}, backend);
+  // Migration requires serialized phases (fault policies force them).
+  rt.conductor().set_serial_override(true);
+  const arch::VAddr va = rt.alloc(4096, MemClass::kFarShared, "data");
+  MigrationRun out;
+  rt.run([&] {
+    Conductor& c = rt.conductor();
+    const sim::Time now = Conductor::self().clock();
+    const sim::Time offsets[] = {300, 100, 100, 200};
+    std::vector<SThread*> workers;
+    for (unsigned w = 0; w < 4; ++w) {
+      workers.push_back(c.spawn(
+          [&, w] {
+            SThread& me = Conductor::self();
+            out.starts.emplace_back(me.tid(), me.cpu(), me.node(), me.clock());
+            for (unsigned k = 0; k < 64; ++k) {
+              rt.read(va + 64 * ((w * 16 + k) % 64));
+              rt.write(va + 64 * ((w * 5 + k) % 64));
+              rt.work_flops(40);
+            }
+            out.ends.emplace_back(me.tid(), me.cpu(), me.node(), me.clock());
+          },
+          /*cpu=*/w, now + offsets[w]));
+    }
+    ASSERT_EQ(workers[2]->state(), SThread::State::kReady);
+    workers[2]->rebind_cpu(9);  // hypernode 1
+  });
+  out.digest = rt.machine().perf().digest(rt.elapsed());
+  out.elapsed = rt.elapsed();
+  return out;
+}
+
+TEST(ReadyQueue, CrossNodeMigrationOfReadyThreadIsBitExact) {
+  const MigrationRun a = ready_migration_run(ConductorBackend::kFibers);
+  ASSERT_EQ(a.starts.size(), 4u);
+  ASSERT_EQ(a.ends.size(), 4u);
+  // The migrated worker (spawned third on node 0: tid 0 + 2 * 3) runs on
+  // its new CPU and shard.
+  bool saw_migrated = false;
+  for (const auto& [tid, cpu, node, clock] : a.starts) {
+    if (tid != 6) continue;
+    saw_migrated = true;
+    EXPECT_EQ(cpu, 9u);
+    EXPECT_EQ(node, 1u);
+  }
+  EXPECT_TRUE(saw_migrated);
+  // Node 0's remaining workers first run in (clock, tid) order: clocks
+  // +100 (tid 4), +200 (tid 8), +300 (tid 2).
+  std::vector<unsigned> node0_order;
+  for (const auto& [tid, cpu, node, clock] : a.starts) {
+    if (node == 0) node0_order.push_back(tid);
+  }
+  EXPECT_EQ(node0_order, (std::vector<unsigned>{4, 8, 2}));
+
+  // Bit-exact across repeats and across every backend.
+  const ConductorBackend backends[] = {ConductorBackend::kFibers,
+                                       ConductorBackend::kThreads,
+                                       ConductorBackend::kPdes};
+  for (const ConductorBackend be : backends) {
+    const MigrationRun b = ready_migration_run(be);
+    EXPECT_EQ(b.starts, a.starts);
+    EXPECT_EQ(b.ends, a.ends);
+    EXPECT_EQ(b.digest, a.digest);
+    EXPECT_EQ(b.elapsed, a.elapsed);
+  }
 }
 
 TEST(Placement, HighLocalityFillsFirstNode) {
