@@ -58,7 +58,13 @@
 # workers, the configuration where replay, fusion parks, and cross-shard
 # invalidation interact.
 #
-# Usage: ci/run_tests.sh [--plain-only|--sanitize-only|--tsan-only|--werror-only|--survive-only|--bench-smoke|--lint-only|--analyze-only|--pdes-smoke|--memo-smoke]
+# A gating --perfbench-smoke leg runs the repo benchmark (perfbench/,
+# BENCHMARK.json) once per workload at one second with per-layer tracing.
+# It gates on the benchmark's own correctness checks -- digest repeat,
+# conservation, figure bands and the shadow-machine replay of every access,
+# which copies the VMem page table -- and never on a time.
+#
+# Usage: ci/run_tests.sh [--plain-only|--sanitize-only|--tsan-only|--werror-only|--survive-only|--bench-smoke|--lint-only|--analyze-only|--pdes-smoke|--memo-smoke|--perfbench-smoke]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -270,7 +276,7 @@ if [[ "$MODE" == "--pdes-smoke" ]]; then
     ctest --test-dir build --output-on-failure -j "$JOBS"
   pdes_resume_smoke build
 
-  echo "=== pdes-smoke: shard queues under tsan ==="
+  echo "=== pdes-smoke: shard queues and PVM task lookup under tsan ==="
   cmake -B build-tsan -S . \
     -DSPP_SANITIZE=thread \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
@@ -299,6 +305,21 @@ if [[ "$MODE" == "--memo-smoke" ]]; then
   cmake --build build -j "$JOBS"
   SPP_MEMO=on SPP_CONDUCTOR=pdes SPP_SHARDS=4 \
     ctest --test-dir build --output-on-failure -j "$JOBS"
+fi
+
+# Gating: each perfbench workload must report "correct": true and a shadow
+# replay that reproduced every access (arch.replay_mismatches == 0).
+if [[ "$MODE" == "--perfbench-smoke" ]]; then
+  for workload in fig8_rate fig8_capacity fig7_fem; do
+    echo "=== perfbench-smoke: $workload ==="
+    python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 \
+      --trace 1 | tail -n 1 | python3 -c '
+import json, sys
+r = json.load(sys.stdin)
+mismatches = r["metrics"]["arch.replay_mismatches"]["value"]
+print("correct:", r["correct"], "replay_mismatches:", mismatches)
+sys.exit(0 if r["correct"] is True and mismatches == 0 else 1)'
+  done
 fi
 
 # Not part of "all": wall-clock numbers are host-dependent, so this leg is

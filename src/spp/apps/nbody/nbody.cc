@@ -235,6 +235,8 @@ std::array<double, 3> NbodyShared::tree_force(std::size_t i, bool charged) {
   const double eps2 = cfg_.eps * cfg_.eps;
   const double theta2 = cfg_.theta * cfg_.theta;
   double ax = 0, ay = 0, az = 0;
+  // Counted locally and added to the shared atomic tally once per call.
+  std::uint64_t interactions = 0;
 
   // Thread-private traversal stack (the paper's "intermediate variables in
   // the force calculation thread-private").
@@ -269,7 +271,7 @@ std::array<double, 3> NbodyShared::tree_force(std::size_t i, bool charged) {
       az += nd.mass * dz * inv;
       if (charged) {
         rt_.work_flops(kInteractFlops);
-        interactions_.fetch_add(1, std::memory_order_relaxed);
+        ++interactions;
       }
       continue;
     }
@@ -297,9 +299,12 @@ std::array<double, 3> NbodyShared::tree_force(std::size_t i, bool charged) {
       az += mp * ddz * inv;
       if (charged) {
         rt_.work_flops(kInteractFlops);
-        interactions_.fetch_add(1, std::memory_order_relaxed);
+        ++interactions;
       }
     }
+  }
+  if (interactions != 0) {
+    interactions_.fetch_add(interactions, std::memory_order_relaxed);
   }
   return {ax, ay, az};
 }

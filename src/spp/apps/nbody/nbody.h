@@ -127,7 +127,7 @@ class NbodyShared {
   std::vector<std::int32_t> order_;  ///< particle order within leaves.
   std::int32_t node_count_ = 0;
   std::unique_ptr<rt::Barrier> barrier_;
-  // Host-side tally bumped from inside the force loop.  Under the pdes
+  // Host-side tally, added to once per tree_force() call.  Under the pdes
   // backend simulated threads in different shards run on concurrent OS
   // workers, so the increment must be atomic; relaxed order is enough
   // because only the final (quiescent-point) sum is ever read.

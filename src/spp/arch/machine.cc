@@ -21,8 +21,7 @@ Machine::Machine(Topology topo, CostModel cm)
       perf_(topo.num_cpus()),
       rings_(topo, cm),
       l1_(topo.num_cpus(), L1Cache(cm.l1_bytes, topo.num_fus())),
-      fus_(topo.num_fus()),
-      mru_(topo.num_cpus()) {
+      fus_(topo.num_fus()) {
   rings_.set_perf(&perf_);
   for (auto& fu : fus_) fu.banks.resize(cm_.banks_per_fu);
   gcaches_.reserve(topo_.nodes * kNumRings);
@@ -68,7 +67,6 @@ void Machine::power_cycle() {
     fu.ring_if.reset();
     for (sim::Resource& bank : fu.banks) bank.reset();
   }
-  for (TranslateMru& mru : mru_) mru = TranslateMru{};
   rings_.reset_contention();
 }
 
@@ -83,29 +81,7 @@ void Machine::maybe_erase(LineAddr line) {
 // ---------------------------------------------------------------------------
 
 sim::Time Machine::access(unsigned cpu, VAddr va, bool write, sim::Time now) {
-  // Translation MRU: repeat touches of the same line (the common case in
-  // streaming loops and lock spins) skip the region binary search.
-  TranslateMru& mru = mru_[cpu];
-  const VAddr va_line = va & ~static_cast<VAddr>(kLineBytes - 1);
-  PAddr pa;
-  if (va_line == mru.va_line) {
-    pa = mru.pa_line | (va & (kLineBytes - 1));
-  } else {
-    // One region lookup gives the PA and whether the line maps uniformly
-    // (PA linear in VA across the whole line).  Only a uniform line is
-    // cached: a BlockShared region with a ragged block size (tolerated in
-    // release builds) can split a line across blocks, and replaying such a
-    // line from the MRU would diverge from per-access translation.
-    bool uniform;
-    pa = vm_.translate_line(va, cpu, &uniform);
-    if (uniform) {
-      mru.va_line = va_line;
-      mru.pa_line = pa - (va - va_line);
-    } else {
-      mru.va_line = ~VAddr{0};
-    }
-  }
-  return access_at(cpu, va, pa, write, now);
+  return access_at(cpu, va, vm_.translate(va, cpu), write, now);
 }
 
 sim::Time Machine::access_at(unsigned cpu, VAddr va, PAddr pa, bool write,
@@ -222,16 +198,21 @@ sim::Time Machine::access_block(unsigned cpu, VAddr va, std::uint64_t bytes,
   const VAddr first = va & ~(kLineBytes - 1);
   const VAddr last = (va + bytes - 1) & ~(kLineBytes - 1);
   if (first == last) return access(cpu, first, write, now);
-  // Translate once per physically contiguous run and walk its lines with
-  // plain pointer arithmetic; equivalent to access() per line base, minus
-  // the per-line translation.
+  // Walk page by page: equivalent to access() per line base, but a page
+  // that maps linearly is translated once and its lines follow by pointer
+  // arithmetic.
   VAddr a = first;
   while (a <= last) {
-    VAddr run_end = 0;
-    PAddr pa = vm_.translate_run(a, cpu, &run_end);
-    const VAddr run_last = std::min(last, run_end - kLineBytes);
-    for (; a <= run_last; a += kLineBytes, pa += kLineBytes) {
-      now = access_at(cpu, a, pa, write, now);
+    const VAddr page_last = std::min(last, a | (kPageBytes - kLineBytes));
+    if (vm_.page_linear(a)) {
+      for (PAddr pa = vm_.translate(a, cpu); a <= page_last;
+           a += kLineBytes, pa += kLineBytes) {
+        now = access_at(cpu, a, pa, write, now);
+      }
+    } else {
+      for (; a <= page_last; a += kLineBytes) {
+        now = access_at(cpu, a, vm_.translate(a, cpu), write, now);
+      }
     }
   }
   return now;

@@ -358,16 +358,6 @@ class Machine {
   void invalidate_gcache_backed_l1(unsigned node,
                                    const sci::GCache::Entry& ge);
 
-  /// Last line translated per CPU.  Translations are immutable (the VMem
-  /// bump allocator only appends regions), so replaying the cached physical
-  /// line for a repeat hit is exact -- it skips the region binary search,
-  /// nothing else.  Purely a wall-clock cache: no simulated state or timing
-  /// depends on it (docs/PERFORMANCE.md).
-  struct TranslateMru {
-    VAddr va_line = ~VAddr{0};
-    PAddr pa_line = 0;
-  };
-
   Topology topo_;
   CostModel cm_;
   VMem vm_;
@@ -382,7 +372,6 @@ class Machine {
   /// so parallel PDES phase workers (which only operate on lines homed in
   /// their own shard; everything else gates) never share map internals.
   std::vector<FlatMap<LineAddr, HomeEntry>> directory_;
-  std::vector<TranslateMru> mru_;  ///< per-CPU translation fast path.
   MemObserver* observer_ = nullptr;
   CrossGate* gate_ = nullptr;  ///< PDES cross-shard gate, when attached.
   MemoSink* memo_sink_ = nullptr;  ///< memo quiescence sink, when attached.

@@ -1,6 +1,5 @@
 #include "spp/arch/vmem.h"
 
-#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -36,7 +35,7 @@ VAddr VMem::allocate(std::uint64_t bytes, MemClass mem_class,
   assert(block_bytes >= kLineBytes && block_bytes % kLineBytes == 0);
 
   Region r;
-  r.base = vbump_;
+  r.base = pages_.size() << kPageBits;
   r.size = round_up(bytes, kPageBytes);
   r.mem_class = mem_class;
   r.home_node = home_node;
@@ -62,47 +61,47 @@ VAddr VMem::allocate(std::uint64_t bytes, MemClass mem_class,
       break;
   }
 
-  vbump_ = round_up(vbump_ + r.size, kPageBytes);
-  fu_bump_ = round_up(fu_bump_ + r.per_fu_bytes, kPageBytes);
-  if (fu_bump_ >= (1ull << kFuWindowBits)) {
+  const std::uint64_t fu_bump = round_up(fu_bump_ + r.per_fu_bytes, kPageBytes);
+  if (fu_bump >= (1ull << kFuWindowBits)) {
     throw std::runtime_error("VMem: physical FU window exhausted");
   }
-  regions_.push_back(r);
-  return r.base;
-}
-
-const Region& VMem::region_of(VAddr va) const {
-  // Regions are appended in increasing base order; binary search.
-  auto it = std::upper_bound(
-      regions_.begin(), regions_.end(), va,
-      [](VAddr a, const Region& r) { return a < r.base; });
-  if (it == regions_.begin()) throw std::out_of_range("VMem: unmapped address");
-  --it;
-  if (va >= it->base + it->size) {
-    throw std::out_of_range("VMem: unmapped address");
+  if (regions_.size() >= kMaxRegions) {
+    throw std::length_error("VMem: region table full");
   }
-  return *it;
-}
+  fu_bump_ = fu_bump;
 
-PAddr VMem::translate(VAddr va, unsigned cpu) const {
-  return translate_in(region_of(va), va, cpu);
-}
-
-PAddr VMem::translate_line(VAddr va, unsigned cpu, bool* uniform) const {
-  const Region& r = region_of(va);
-  // Regions are page-aligned and page-sized, and pages are line multiples,
-  // so a line never leaves its region or crosses a page boundary; only a
-  // ragged block can split it.  Adjacent blocks always land in different
-  // FUs, so a line split across blocks is never linear.
-  if (r.mem_class == MemClass::kBlockShared) {
-    const std::uint64_t first = (va & ~(kLineBytes - 1)) - r.base;
-    *uniform = first / r.block_bytes ==
-               (first + kLineBytes - 1) / r.block_bytes;
-  } else {
-    *uniform = true;
+  // One page-table entry per page, sized in one step.
+  const std::uint64_t index = regions_.size() << kIndexShift;
+  const std::size_t first = pages_.size();
+  pages_.resize(first + r.size / kPageBytes);
+  for (std::size_t p = first; p < pages_.size(); ++p) {
+    const VAddr va = p << kPageBits;
+    const std::uint64_t off = va - r.base;
+    std::uint64_t e = index | kRegionEntry;
+    switch (mem_class) {
+      case MemClass::kThreadPrivate:
+      case MemClass::kNodePrivate:
+        // Per-CPU / per-node instances: the PA depends on the accessor.
+        break;
+      case MemClass::kBlockShared:
+        if (off / block_bytes != (off + kPageBytes - 1) / block_bytes) {
+          e |= kSplitPage;
+          break;
+        }
+        [[fallthrough]];
+      case MemClass::kNearShared:
+      case MemClass::kFarShared:
+        e = index | ((translate_in(r, va, 0) - va) & kPaMask);
+        assert((e & (kPageBytes - 1)) == 0);
+        break;
+    }
+    pages_[p] = e;
   }
-  return translate_in(r, va, cpu);
+  regions_.push_back(std::move(r));
+  return regions_.back().base;
 }
+
+void VMem::unmapped() { throw std::out_of_range("VMem: unmapped address"); }
 
 PAddr VMem::translate_in(const Region& r, VAddr va, unsigned cpu) const {
   const std::uint64_t off = va - r.base;
@@ -148,37 +147,6 @@ PAddr VMem::translate_in(const Region& r, VAddr va, unsigned cpu) const {
     }
   }
   throw std::logic_error("VMem: bad memory class");
-}
-
-PAddr VMem::translate_run(VAddr va, unsigned cpu, VAddr* run_end) const {
-  const Region& r = region_of(va);
-  const std::uint64_t off = va - r.base;
-  std::uint64_t gran;
-  switch (r.mem_class) {
-    case MemClass::kThreadPrivate:
-      // One instance, physically contiguous: the whole region is one run.
-      gran = r.size;
-      break;
-    case MemClass::kBlockShared:
-      gran = r.block_bytes;
-      break;
-    default:
-      // Page-interleaved classes change FU at page boundaries.
-      gran = kPageBytes;
-      break;
-  }
-  VAddr end = r.base + std::min<std::uint64_t>(r.size, (off / gran + 1) * gran);
-  // A block size that is not a line multiple (tolerated in release builds;
-  // the allocate() assert flags it in debug) yields a run end mid-line.
-  // Floor it: callers iterate whole lines, and a line straddling a block
-  // boundary belongs to the run that translate() of its base picks.  When
-  // flooring would empty the run, degrade to a single line -- that line is
-  // then translated exactly as a per-line walk would.
-  end &= ~static_cast<VAddr>(kLineBytes - 1);
-  const VAddr va_line = va & ~static_cast<VAddr>(kLineBytes - 1);
-  if (end <= va_line) end = va_line + kLineBytes;
-  *run_end = end;
-  return translate(va, cpu);
 }
 
 bool VMem::shared_between(VAddr va, unsigned cpu_a, unsigned cpu_b) const {

@@ -13,15 +13,11 @@ namespace spp::pvm {
 
 int Pvm::current_tid() const {
   if (!rt::Conductor::in_sthread()) return -1;
-  const std::size_t s = rt::Conductor::self().tid();
-  if (s >= task_of_sthread_.size()) return -1;
-  return task_of_sthread_[s];
+  return rt::Conductor::self().task_id(this);
 }
 
 void Pvm::set_current_tid(int tid) {
-  const std::size_t s = rt::Conductor::self().tid();
-  if (s >= task_of_sthread_.size()) task_of_sthread_.resize(s + 1, -1);
-  task_of_sthread_[s] = tid;
+  rt::Conductor::self().set_task_id(this, tid);
 }
 
 void Message::charge_unpack(std::size_t bytes) {
@@ -37,12 +33,18 @@ Pvm::Pvm(rt::Runtime& rt) : rt_(&rt) {
   pool_va_ = rt.alloc(pool_bytes_, arch::MemClass::kFarShared, "pvm.pool");
   mailbox_va_ = rt.alloc(128 * arch::kLineBytes, arch::MemClass::kFarShared,
                          "pvm.mailboxes");
+  // send() pushes into another task's mailbox and wakes it, and every task
+  // bumps this object's counters, all without a cross-shard gate: keep PDES
+  // phases on one worker while this Pvm exists.  The allocs above already
+  // serialized us if we are inside a parallel phase.
+  rt.hold_serial_phases(true);
   // Pick up a chaos source if one is already attached to the runtime.
   fault_ = dynamic_cast<fault::FaultInjector*>(rt.fault_hook());
 }
 
 Pvm::~Pvm() {
   if (rt_->fail_stop_policy() == this) rt_->set_fail_stop_policy(nullptr);
+  rt_->hold_serial_phases(false);
 }
 
 void Pvm::set_fail_stop_kill(bool on) {

@@ -161,6 +161,8 @@ class Pvm : private rt::FailStopPolicy {
  public:
   explicit Pvm(rt::Runtime& rt);
   ~Pvm() override;
+  Pvm(const Pvm&) = delete;  ///< owns a serial-phase hold on the runtime.
+  Pvm& operator=(const Pvm&) = delete;
 
   rt::Runtime& runtime() { return *rt_; }
 
@@ -274,12 +276,11 @@ class Pvm : private rt::FailStopPolicy {
   std::uint64_t next_seq_ = 1;             ///< reliable-mode sequence counter.
   bool kill_on_fail_ = false;              ///< ULFM kill semantics enabled.
   int dead_count_ = 0;                     ///< fail-stopped tasks this spawn.
-  /// PVM task id per *simulated* thread (indexed by SThread tid), -1 when
-  /// that thread is not a task.  Under the fiber conductor backend every
-  /// task shares one OS thread, so a thread_local here would be clobbered
-  /// across scheduling points; keying on the simulated tid works under both
-  /// backends.
-  std::vector<int> task_of_sthread_;
+  /// The calling simulated thread's task id, -1 when it is not a task of
+  /// this Pvm.  The id lives on the SThread (rt::SThread::task_id): under
+  /// the fiber backend every task shares one OS thread, so a thread_local
+  /// would be clobbered across scheduling points, and a shared per-tid
+  /// table would be resized while PDES shard workers read it.
   int current_tid() const;
   void set_current_tid(int tid);
 };

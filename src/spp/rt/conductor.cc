@@ -286,8 +286,11 @@ void Conductor::set_workers(unsigned w) {
 }
 
 void Conductor::do_bump_progress() {
-  progress_slots_[g_progress_slot].count.fetch_add(1,
-                                                   std::memory_order_relaxed);
+  // Each slot has one writer (the OS thread g_progress_slot names), so a
+  // relaxed load and store count exactly, without a locked add.
+  std::atomic<std::uint64_t>& count = progress_slots_[g_progress_slot].count;
+  count.store(count.load(std::memory_order_relaxed) + 1,
+              std::memory_order_relaxed);
 }
 
 void Conductor::shutdown_all() {
@@ -489,7 +492,7 @@ void Conductor::engine_loop() {
     if (!any_ready) break;
     horizon_ = min_clock + lookahead_;
     in_phase_ = true;
-    if (workers_eff_ > 1) {
+    if (workers_eff_ > 1 && !serial_override_) {
       if (!sharded_) {
         sharded_ = std::make_unique<ShardedConductor>(*this, workers_eff_);
       }

@@ -185,6 +185,17 @@ class SThread {
   memo::ThreadState* memo_state() { return memo_state_; }
   void set_memo_state(memo::ThreadState* s) { memo_state_ = s; }
 
+  /// The task id a message-passing layer (spp::pvm) runs on this thread, or
+  /// -1 unless `owner` set one.  Kept on the thread itself, so no shared
+  /// table is written while PDES shard workers run other threads.
+  int task_id(const void* owner) const {
+    return owner == task_owner_ ? task_id_ : -1;
+  }
+  void set_task_id(const void* owner, int id) {
+    task_owner_ = owner;
+    task_id_ = id;
+  }
+
  private:
   friend class Conductor;
   friend class FusionScope;
@@ -210,6 +221,8 @@ class SThread {
   BlockReason reason_;  ///< wait-for edge while Blocked.
   std::function<void()> fn_;
   memo::ThreadState* memo_state_ = nullptr;  ///< set by rt::Runtime.
+  const void* task_owner_ = nullptr;  ///< see task_id().
+  int task_id_ = -1;
 
   // PDES engine state.  Both fields are touched only by the thread itself
   // or by whoever is about to resume it, never concurrently.
@@ -363,8 +376,10 @@ class Conductor : public arch::CrossGate {
   unsigned workers() const { return workers_eff_; }
   /// Forces single-worker phases regardless of --shards: set by the runtime
   /// whenever an observation hook (fault hook, sync observer, fail-stop
-  /// policy, machine observer) is attached, because hooks may legally touch
-  /// cross-shard state without gating.  The *schedule* is worker-count
+  /// policy, machine observer) is attached or a layer holds phases serial
+  /// (rt::Runtime::hold_serial_phases), because those may touch cross-shard
+  /// state without gating.  Checked at every phase start, so a change made
+  /// mid-run applies from the next phase.  The *schedule* is worker-count
   /// independent, so this changes wall-clock only, never a digest.
   void set_serial_override(bool on) { serial_override_ = on; }
 

@@ -259,6 +259,17 @@ class Runtime {
   }
   FailStopPolicy* fail_stop_policy() const { return fail_stop_policy_; }
 
+  /// Holds PDES phases on one worker while any hold is taken: for a layer
+  /// whose simulated threads touch each other's host state without a
+  /// cross-shard gate (spp::pvm's mailboxes, wake-ups and counters).  Like
+  /// a hook it changes wall-clock only, never the schedule.  Applies from
+  /// the next phase; take or drop a hold outside run() or while serialized
+  /// (e.g. right after a charged alloc(), which parks in a parallel phase).
+  void hold_serial_phases(bool on) {
+    serial_holds_ += on ? 1 : -1;
+    update_serial_override();
+  }
+
  private:
   /// PDES: hooks are host callbacks with their own (unsynchronized) state,
   /// invoked from inside simulated threads; while any is installed, phases
@@ -267,7 +278,8 @@ class Runtime {
   void update_serial_override() {
     conductor_.set_serial_override(fault_hook_ != nullptr ||
                                    sync_observer_ != nullptr ||
-                                   fail_stop_policy_ != nullptr);
+                                   fail_stop_policy_ != nullptr ||
+                                   serial_holds_ != 0);
   }
   /// Applies pending faults and migrates the thread off a failed CPU.
   /// Every charged operation calls this, so the no-hook case is one inline
@@ -329,6 +341,7 @@ class Runtime {
   FaultHook* fault_hook_ = nullptr;
   SyncObserver* sync_observer_ = nullptr;
   FailStopPolicy* fail_stop_policy_ = nullptr;
+  int serial_holds_ = 0;  ///< see hold_serial_phases().
   std::unique_ptr<memo::Engine> memo_engine_;
   memo::Mode memo_mode_{};  ///< zero-initialized == Mode::kOff.
 

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "spp/apps/nbody/nbody.h"
+#include "spp/apps/nbody/nbody_pvm.h"
 #include "spp/apps/ppm/ppm.h"
 #include "spp/arch/topology.h"
 #include "spp/pdes/event.h"
@@ -130,6 +131,34 @@ TEST(PdesDigest, RepeatedRunsAreBitStable) {
   const std::uint64_t a = nbody_digest(rt::ConductorBackend::kPdes, 4);
   const std::uint64_t b = nbody_digest(rt::ConductorBackend::kPdes, 4);
   EXPECT_EQ(a, b);
+}
+
+std::uint64_t nbody_pvm_digest(rt::ConductorBackend be, unsigned shards) {
+  rt::Runtime rt(Topology{.nodes = 4}, arch::CostModel{}, be);
+  if (shards != 0) rt.conductor().set_workers(shards);
+  nbody::NbodyConfig cfg;
+  cfg.n = 192;
+  cfg.steps = 2;
+  nbody::NbodyPvm nb(rt, cfg, 16, rt::Placement::kUniform);
+  rt.run([&] { (void)nb.run(); });
+  return rt.machine().perf().digest(rt.elapsed());
+}
+
+// Each PVM task finds its id on its own simulated thread.  A shared
+// per-thread table, grown by tasks while other shards' workers read it,
+// once aborted a 4-shard run with "pvm: not inside a task".  Repeated
+// 4-shard runs of the PVM tree code must all finish with one digest, the
+// sequential backends' digest; the tsan leg runs this test too.
+TEST(PdesDigest, NbodyPvmRepeatsBitStableAtFourShards) {
+  const std::uint64_t first = nbody_pvm_digest(rt::ConductorBackend::kPdes, 4);
+  for (int k = 0; k < 4; ++k) {
+    EXPECT_EQ(nbody_pvm_digest(rt::ConductorBackend::kPdes, 4), first)
+        << "repeat " << k;
+  }
+  EXPECT_EQ(first, nbody_pvm_digest(rt::ConductorBackend::kThreads, 0));
+  if (rt::fibers_available()) {
+    EXPECT_EQ(first, nbody_pvm_digest(rt::ConductorBackend::kFibers, 0));
+  }
 }
 
 // --- watchdog under the sharded engine -------------------------------------

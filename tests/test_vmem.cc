@@ -1,7 +1,9 @@
 // Tests for virtual memory classes: placement and translation rules.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "spp/arch/address.h"
@@ -150,68 +152,193 @@ TEST(VMem, LabelsSurviveInRegions) {
   EXPECT_EQ(vm.regions()[1].label, "beta");
 }
 
-/// True when every byte of the line at `va_line` translates linearly.
-bool line_is_linear(const VMem& vm, VAddr va_line, unsigned cpu) {
-  const PAddr base = vm.translate(va_line, cpu);
-  for (VAddr k = 1; k < kLineBytes; ++k) {
-    if (vm.translate(va_line + k, cpu) != base + k) return false;
+// --- page table vs. a reference translation --------------------------------
+
+/// Reference translation, independent of the page table: a linear scan of
+/// regions() and the placement rules of section 3.2 applied to the byte.
+PAddr reference_translate(const VMem& vm, const Topology& t, VAddr va,
+                          unsigned cpu) {
+  for (const Region& r : vm.regions()) {
+    if (va < r.base || va - r.base >= r.size) continue;
+    const std::uint64_t off = va - r.base;
+    const std::uint64_t page = off / kPageBytes;
+    const unsigned fu_pos = static_cast<unsigned>(page % kFusPerNode);
+    switch (r.mem_class) {
+      case MemClass::kThreadPrivate:
+        // The CPU's own FU; the FU's second CPU takes the next slot.
+        return make_paddr(t.fu_of_cpu(cpu),
+                          r.fu_base + (cpu % kCpusPerFu) * r.size + off);
+      case MemClass::kNodePrivate:
+        return make_paddr(t.fu_id(t.node_of_cpu(cpu), fu_pos),
+                          r.fu_base + off);
+      case MemClass::kNearShared:
+        return make_paddr(t.fu_id(r.home_node, fu_pos), r.fu_base + off);
+      case MemClass::kFarShared:
+      case MemClass::kBlockShared: {
+        const std::uint64_t unit = r.mem_class == MemClass::kFarShared
+                                       ? kPageBytes
+                                       : r.block_bytes;
+        const std::uint64_t k = off / unit;
+        const unsigned node = static_cast<unsigned>(k % t.nodes);
+        const unsigned pos = static_cast<unsigned>(k / t.nodes % kFusPerNode);
+        return make_paddr(t.fu_id(node, pos), r.fu_base + off);
+      }
+    }
+  }
+  throw std::out_of_range("reference: unmapped");
+}
+
+/// True when every byte of [va, va + bytes) maps linearly from `cpu`.
+bool reference_linear(const VMem& vm, const Topology& t, VAddr va,
+                      std::uint64_t bytes, unsigned cpu) {
+  const PAddr base = reference_translate(vm, t, va, cpu);
+  for (VAddr k = 1; k < bytes; ++k) {
+    if (reference_translate(vm, t, va + k, cpu) != base + k) return false;
   }
   return true;
 }
 
-/// Checks translate_line() against translate() on every byte of every line
-/// in [va, va + bytes), from `cpu`, and returns how many lines were
-/// reported uniform.
-unsigned check_translate_line(const VMem& vm, VAddr va, std::uint64_t bytes,
-                              unsigned cpu) {
-  unsigned uniform_lines = 0;
-  for (VAddr line = va; line < va + bytes; line += kLineBytes) {
-    const bool linear = line_is_linear(vm, line, cpu);
-    for (VAddr b = line; b < line + kLineBytes; ++b) {
-      bool uniform = !linear;
-      EXPECT_EQ(vm.translate_line(b, cpu, &uniform), vm.translate(b, cpu))
-          << "va " << b << " cpu " << cpu;
-      EXPECT_EQ(uniform, linear) << "va " << b << " cpu " << cpu;
+/// Compares translate() with the reference on the first and last byte of
+/// every page and every region, from every CPU, on every byte of every
+/// page from `byte_cpus`, and page_linear() with the reference's linearity
+/// of each whole page.  Returns how many lines map non-linearly.
+unsigned check_against_reference(const VMem& vm, const Topology& t,
+                                 std::initializer_list<unsigned> byte_cpus) {
+  unsigned split_lines = 0;
+  for (const Region& r : vm.regions()) {
+    const VAddr end = r.base + r.size;
+    for (unsigned cpu = 0; cpu < t.num_cpus(); ++cpu) {
+      // The region's first and last bytes are among these.
+      for (VAddr page = r.base; page < end; page += kPageBytes) {
+        for (const VAddr va : {page, page + kPageBytes - 1}) {
+          EXPECT_EQ(vm.translate(va, cpu), reference_translate(vm, t, va, cpu))
+              << r.label << " va " << va << " cpu " << cpu;
+        }
+      }
     }
-    if (linear) ++uniform_lines;
+    for (const unsigned cpu : byte_cpus) {
+      for (VAddr page = r.base; page < end; page += kPageBytes) {
+        EXPECT_EQ(vm.page_linear(page),
+                  reference_linear(vm, t, page, kPageBytes, cpu))
+            << r.label << " page " << page << " cpu " << cpu;
+        for (VAddr va = page; va < page + kPageBytes; ++va) {
+          if (vm.translate(va, cpu) != reference_translate(vm, t, va, cpu)) {
+            ADD_FAILURE() << r.label << " va " << va << " cpu " << cpu;
+            return ~0u;
+          }
+        }
+        for (VAddr line = page; line < page + kPageBytes; line += kLineBytes) {
+          if (!reference_linear(vm, t, line, kLineBytes, cpu)) ++split_lines;
+        }
+      }
+    }
+    EXPECT_EQ(&vm.region_of(r.base), &r);
+    EXPECT_EQ(&vm.region_of(end - 1), &r);
   }
-  return uniform_lines;
+  return split_lines;
 }
 
-TEST(VMem, TranslateLineMatchesTranslateForEveryClass) {
-  VMem vm(topo4());
+/// One region of every class, with BlockShared blocks of two pages, of four
+/// lines, and of 1.5 pages (so some pages span two blocks).
+VMem every_class(const Topology& t) {
+  VMem vm(t);
   const std::uint64_t bytes = 3 * kPageBytes;
-  const VAddr regions[] = {
-      vm.allocate(bytes, MemClass::kThreadPrivate, "tp"),
-      vm.allocate(bytes, MemClass::kNodePrivate, "np"),
-      vm.allocate(bytes, MemClass::kNearShared, "ns", 2),
-      vm.allocate(bytes, MemClass::kFarShared, "fs"),
-      vm.allocate(bytes, MemClass::kBlockShared, "bs", 0, 4 * kLineBytes),
-  };
-  for (const VAddr va : regions) {
-    for (const unsigned cpu : {0u, 9u, 31u}) {
-      // Lines straddling each page boundary and the region's last line
-      // are included; with line-multiple interleaves every line is uniform.
-      EXPECT_EQ(check_translate_line(vm, va, bytes, cpu),
-                bytes / kLineBytes);
+  vm.allocate(bytes, MemClass::kThreadPrivate, "tp");
+  vm.allocate(bytes, MemClass::kNodePrivate, "np");
+  vm.allocate(bytes, MemClass::kNearShared, "ns", 2);
+  vm.allocate(bytes, MemClass::kFarShared, "fs");
+  vm.allocate(5 * kPageBytes, MemClass::kFarShared, "fs5");
+  vm.allocate(4 * kPageBytes, MemClass::kBlockShared, "bs_pages", 0,
+              2 * kPageBytes);
+  vm.allocate(bytes, MemClass::kBlockShared, "bs_lines", 0, 4 * kLineBytes);
+  vm.allocate(bytes, MemClass::kBlockShared, "bs_1.5", 0,
+              kPageBytes + kPageBytes / 2);
+  return vm;
+}
+
+TEST(VMem, PageTableMatchesReferenceForEveryClass) {
+  const Topology t = topo4();
+  const VMem vm = every_class(t);
+  // Line-multiple interleaves never split a line.
+  EXPECT_EQ(check_against_reference(vm, t, {0u, 9u, 31u}), 0u);
+  // Only pages that span more than one block are split: every page of the
+  // four-line blocks, and the middle page of the 1.5-page blocks.
+  for (const Region& r : vm.regions()) {
+    for (unsigned p = 0; p < r.size / kPageBytes; ++p) {
+      const bool split =
+          r.label == "bs_lines" || (r.label == "bs_1.5" && p == 1);
+      EXPECT_EQ(vm.page_linear(r.base + p * kPageBytes), !split)
+          << r.label << " page " << p;
     }
   }
 }
 
-TEST(VMem, TranslateLineFlagsRaggedBlockLines) {
+TEST(VMem, PageTableFlagsRaggedBlockLines) {
 #ifndef NDEBUG
   GTEST_SKIP() << "allocate() asserts line-multiple blocks in debug builds";
 #else
   // Release builds tolerate a block size that is not a line multiple; a
-  // line that straddles a block boundary then maps to two FUs.
+  // line that straddles a block boundary then maps to two FUs, and its page
+  // must translate line by line.
   for (const std::uint64_t block : {48ull, 8ull, 5ull}) {
-    VMem vm(Topology{.nodes = 1});
+    const Topology t{.nodes = 1};
+    VMem vm(t);
     const VAddr va = vm.allocate(kPageBytes, MemClass::kBlockShared,
                                  "ragged", 0, block);
-    const unsigned uniform = check_translate_line(vm, va, kPageBytes, 3);
-    EXPECT_LT(uniform, kPageBytes / kLineBytes) << "block " << block;
+    EXPECT_FALSE(vm.page_linear(va)) << "block " << block;
+    EXPECT_GT(check_against_reference(vm, t, {3u}), 0u) << "block " << block;
   }
 #endif
+}
+
+TEST(VMem, UnmappedPagesThrow) {
+  const Topology t = topo4();
+  VMem empty(t);
+  for (const VAddr va : {VAddr{0}, VAddr{1}, kPageBytes - 1, kPageBytes}) {
+    EXPECT_THROW(empty.translate(va, 0), std::out_of_range) << va;
+    EXPECT_THROW(empty.region_of(va), std::out_of_range) << va;
+    EXPECT_THROW(empty.page_linear(va), std::out_of_range) << va;
+  }
+  const VMem vm = every_class(t);
+  const Region& last = vm.regions().back();
+  const VAddr bump = last.base + last.size;
+  for (const VAddr va : {VAddr{0}, kPageBytes - 1, bump, bump + kPageBytes,
+                         ~VAddr{0}}) {
+    for (const unsigned cpu : {0u, 31u}) {
+      EXPECT_THROW(vm.translate(va, cpu), std::out_of_range) << va;
+    }
+    EXPECT_THROW(vm.region_of(va), std::out_of_range) << va;
+    EXPECT_THROW(vm.page_linear(va), std::out_of_range) << va;
+  }
+  EXPECT_NO_THROW(vm.translate(kPageBytes, 0));
+  EXPECT_NO_THROW(vm.translate(bump - 1, 31));
+}
+
+TEST(VMem, CopyAssignmentTranslatesIdentically) {
+  // perfbench's shadow machine refreshes its map by assignment from the
+  // primary's, over whatever it held before.
+  const Topology t = topo4();
+  const VMem primary = every_class(t);
+  VMem copy(t);
+  copy.allocate(7 * kPageBytes, MemClass::kNearShared, "stale", 1);
+  copy = primary;
+  ASSERT_EQ(copy.regions().size(), primary.regions().size());
+  for (const Region& r : primary.regions()) {
+    for (VAddr va = r.base; va < r.base + r.size; va += kLineBytes / 2) {
+      for (const unsigned cpu : {0u, 13u, 31u}) {
+        ASSERT_EQ(copy.translate(va, cpu), primary.translate(va, cpu))
+            << r.label << " va " << va;
+      }
+      EXPECT_EQ(copy.region_of(va).label, r.label);
+      EXPECT_EQ(copy.page_linear(va), primary.page_linear(va));
+    }
+  }
+  EXPECT_EQ(check_against_reference(copy, t, {5u}), 0u);
+  // The copy is independent: later allocations on either side diverge.
+  VMem grown = primary;
+  const VAddr extra = grown.allocate(kPageBytes, MemClass::kFarShared, "x");
+  EXPECT_THROW(copy.translate(extra, 0), std::out_of_range);
+  EXPECT_EQ(grown.translate(extra, 2), reference_translate(grown, t, extra, 2));
 }
 
 /// Records the physical address of every cached access.
@@ -220,28 +347,46 @@ struct PaRecorder : MemObserver {
   void on_access(const MemEvent& ev) override { pas.push_back(ev.pa); }
 };
 
-TEST(VMem, MachineTranslatesEveryByteLikeTranslate) {
-  // The machine's translation MRU may replay a line only when the whole
-  // line maps linearly; per-byte accesses must still see translate()'s PA.
-  // (A ragged block size exercises a non-uniform line in release builds.)
+TEST(VMem, MachineTranslatesEveryByteLikeReference) {
+  // Per-byte access() and multi-page access_block() must both see the
+  // reference PA of every byte and line base, on linear and split pages.
+  // (A ragged block size exercises a split line in release builds.)
 #ifdef NDEBUG
   const std::uint64_t block = 48;
 #else
   const std::uint64_t block = 2 * kLineBytes;
 #endif
-  Machine m(Topology{.nodes = 2});
+  const Topology t{.nodes = 2};
+  Machine m(t);
   const VAddr bs = m.vm().allocate(kPageBytes, MemClass::kBlockShared, "bs", 0,
                                    block);
   const VAddr fs = m.vm().allocate(kPageBytes, MemClass::kFarShared, "fs");
+  const VAddr tp = m.vm().allocate(3 * kPageBytes, MemClass::kThreadPrivate,
+                                   "tp");
+  const VAddr np = m.vm().allocate(3 * kPageBytes, MemClass::kNodePrivate, "np");
+  const VAddr b15 = m.vm().allocate(3 * kPageBytes, MemClass::kBlockShared,
+                                    "b15", 0, kPageBytes + kPageBytes / 2);
   PaRecorder rec;
   m.set_observer(&rec);
   std::vector<PAddr> want;
-  sim::Time t = 0;
+  sim::Time time = 0;
   for (const VAddr base : {bs, fs}) {
     for (VAddr va = base; va < base + 8 * kLineBytes; ++va) {
-      want.push_back(m.vm().translate(va, 5));
-      t = m.access(5, va, (va & 1) != 0, t);
+      want.push_back(reference_translate(m.vm(), t, va, 5));
+      time = m.access(5, va, (va & 1) != 0, time);
     }
+  }
+  // Blocks from mid-line to mid-line, crossing page boundaries.
+  for (const VAddr base : {bs, fs, tp, np, b15}) {
+    const VAddr region_end = m.vm().region_of(base).base +
+                             m.vm().region_of(base).size;
+    const VAddr from = base + 40;
+    const std::uint64_t bytes = region_end - from - 24;
+    for (VAddr line = from & ~(kLineBytes - 1); line < from + bytes;
+         line += kLineBytes) {
+      want.push_back(reference_translate(m.vm(), t, line, 12));
+    }
+    time = m.access_block(12, from, bytes, /*write=*/false, time);
   }
   m.set_observer(nullptr);
   EXPECT_EQ(rec.pas, want);
