@@ -276,7 +276,7 @@ if [[ "$MODE" == "--pdes-smoke" ]]; then
     ctest --test-dir build --output-on-failure -j "$JOBS"
   pdes_resume_smoke build
 
-  echo "=== pdes-smoke: shard queues and PVM task lookup under tsan ==="
+  echo "=== pdes-smoke: shard queues, PVM task lookup and phase-time directory growth (PdesDigest.MissChurnInvariantAcrossShardCounts) under tsan ==="
   cmake -B build-tsan -S . \
     -DSPP_SANITIZE=thread \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo

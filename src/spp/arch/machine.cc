@@ -21,15 +21,14 @@ Machine::Machine(Topology topo, CostModel cm)
       perf_(topo.num_cpus()),
       rings_(topo, cm),
       l1_(topo.num_cpus(), L1Cache(cm.l1_bytes, topo.num_fus())),
-      fus_(topo.num_fus()) {
+      fus_(topo.num_fus()),
+      directory_(topo.num_fus()) {
   rings_.set_perf(&perf_);
   for (auto& fu : fus_) fu.banks.resize(cm_.banks_per_fu);
   gcaches_.reserve(topo_.nodes * kNumRings);
   for (unsigned i = 0; i < topo_.nodes * kNumRings; ++i) {
     gcaches_.emplace_back(cm_.gcache_bytes, topo.num_fus());
   }
-  directory_.resize(topo_.nodes);
-  for (auto& dir : directory_) dir.reserve((1u << 16) / topo_.nodes + 1);
   memo_scratch_.assign(topo_.num_cpus(), nullptr);
 }
 
@@ -52,7 +51,7 @@ void Machine::power_cycle() {
   memo_global_disturb();
   for (L1Cache& l1 : l1_) l1.clear();
   for (sci::GCache& g : gcaches_) g.clear();
-  for (auto& dir : directory_) dir.clear();
+  for (DirTable& dir : directory_) dir.clear();
   // Discard -- never fold -- pending per-shard counter slots.  On the
   // rollback/resume path the caller has just overwritten perf_ with an epoch
   // snapshot; counts accrued after that snapshot belong to discarded work
@@ -68,12 +67,6 @@ void Machine::power_cycle() {
     for (sim::Resource& bank : fu.banks) bank.reset();
   }
   rings_.reset_contention();
-}
-
-void Machine::maybe_erase(LineAddr line) {
-  FlatMap<LineAddr, HomeEntry>& dir = dir_for(line);
-  const HomeEntry* e = dir.find(line);
-  if (e != nullptr && e->empty()) dir.erase(line);
 }
 
 // ---------------------------------------------------------------------------
@@ -109,7 +102,7 @@ sim::Time Machine::access_at(unsigned cpu, VAddr va, PAddr pa, bool write,
     if (topo_.node_of_fu(home_fu) == my_node) {
       // Home is local: only a remote-dirty recall or an SCI purge walk
       // leaves the shard.
-      const HomeEntry* e = directory_[my_node].find(line);
+      const HomeEntry* e = directory_[home_fu].find(line);
       cross = e != nullptr &&
               (e->remote_dirty || (write && !e->sci_list.empty()));
     } else if (st == LineState::kShared) {
@@ -675,12 +668,9 @@ void Machine::evict_l1_entry(unsigned cpu, L1Cache::Entry& entry,
   }
 
   if (home_node == my_node) {
-    FlatMap<LineAddr, HomeEntry>& dir = directory_[home_node];
-    HomeEntry* e = dir.find(victim);
-    if (e != nullptr) {
+    if (HomeEntry* e = directory_[home_fu].find(victim)) {
       if (e->owner_cpu == static_cast<int>(cpu)) e->owner_cpu = -1;
       e->cpu_sharers &= static_cast<std::uint8_t>(~bit(cpu_in_node));
-      if (e->empty()) dir.erase(victim);
     }
   } else {
     const unsigned ring = topo_.ring_of_fu(home_fu);
@@ -713,16 +703,13 @@ void Machine::evict_gcache_entry(unsigned node, [[maybe_unused]] unsigned ring,
   ++perf_.gcache_evictions;
   invalidate_gcache_backed_l1(node, ge);
 
-  FlatMap<LineAddr, HomeEntry>& dir = dir_for(victim);
-  HomeEntry* e = dir.find(victim);
-  if (e != nullptr) {
+  if (HomeEntry* e = dir_for(victim).find(victim)) {
     e->sci_list.remove(static_cast<std::uint8_t>(node));
     if (e->remote_dirty && e->owner_node == node) {
       e->remote_dirty = false;
       // Rollout writeback occupies the home bank off the critical path.
       bank_for(line_base(victim)).acquire(now, sim::cycles(cm_.bank_hold));
     }
-    if (e->empty()) dir.erase(victim);
   }
   ge = sci::GCache::Entry{};
 }
@@ -867,7 +854,7 @@ unsigned Machine::sharer_count(VAddr va) const {
 Machine::DirView Machine::dir_view(LineAddr line) const {
   DirView v;
   const HomeEntry* e = dir_for(line).find(line);
-  if (e == nullptr) return v;
+  if (e == nullptr || e->empty()) return v;
   v.present = true;
   v.cpu_sharers = e->cpu_sharers;
   v.owner_cpu = e->owner_cpu;

@@ -21,7 +21,6 @@
 #include "spp/arch/address.h"
 #include "spp/arch/cache.h"
 #include "spp/arch/cost_model.h"
-#include "spp/arch/flat_map.h"
 #include "spp/arch/observer.h"
 #include "spp/arch/perf.h"
 #include "spp/arch/topology.h"
@@ -131,12 +130,12 @@ class Machine {
   void reset_stats() { perf_.reset(); }
 
   /// Resets all cached/contended hardware state to a deterministic cold
-  /// machine -- L1s, gcaches, the home directory, translation MRUs, every
-  /// contended resource, and ring contention counters -- while leaving
-  /// counters, allocations, ring health (alive/degraded lanes), and armed
-  /// faults untouched.  Used at durable-checkpoint epoch boundaries
-  /// (spp::ckpt::DurableSession) so a resumed process continues from a state
-  /// it can reconstruct exactly.
+  /// machine -- L1s, gcaches, the home directory (every page block is
+  /// dropped), every contended resource, and ring contention counters --
+  /// while leaving counters, allocations and their page table, ring health
+  /// (alive/degraded lanes), and armed faults untouched.  Used at
+  /// durable-checkpoint epoch boundaries (spp::ckpt::DurableSession) so a
+  /// resumed process continues from a state it can reconstruct exactly.
   void power_cycle();
 
   /// Attaches (or clears, with nullptr) a transaction observer.  One pointer
@@ -219,8 +218,9 @@ class Machine {
   /// holds line addresses, not virtual ones).
   bool check_line_invariants_line(LineAddr line) const;
 
-  /// Read-only copy of the home directory entry for `line` (empty-state view
-  /// when the line has no entry).  For checkers and tests.
+  /// Read-only copy of the home directory entry for `line`.  `present` is
+  /// set only when the entry holds some state (a sharer, an owner, remote
+  /// state); otherwise the view is the empty state.  For checkers and tests.
   struct DirView {
     bool present = false;
     std::uint8_t cpu_sharers = 0;
@@ -292,16 +292,65 @@ class Machine {
     std::vector<sim::Resource> banks;
   };
 
-  /// The home directory shard owning `line` (indexed by the line's home
-  /// node, so each PDES phase worker only ever touches its own maps).
-  FlatMap<LineAddr, HomeEntry>& dir_for(LineAddr line) {
-    return directory_[topo_.node_of_fu(home_fu_of(line_base(line)))];
+  /// One home FU's directory: an entry for every line of the FU's window,
+  /// direct-mapped by the line's offset in the window, as the CCMC keeps a
+  /// line's state beside the line in memory.  Two levels keep a sparse
+  /// 64 GB window cheap: a vector over 4 MB chunks, each holding 1024 page
+  /// pointers, and one block per 4 KB page holding its 128 entries.  at()
+  /// allocates a page's block the first time it touches one of its lines;
+  /// find() never allocates.  An empty entry means "no state", so nothing
+  /// is ever erased, and entry references stay valid until clear().
+  /// Aligned apart so tables of different shards share no cache line.
+  class alignas(64) DirTable {
+   public:
+    HomeEntry* find(LineAddr line) {
+      const std::uint64_t i = index(line);
+      const std::uint64_t c = i >> (kChunkBits + kBlockBits);
+      if (c >= chunks_.size() || chunks_[c] == nullptr) return nullptr;
+      Block* b = (*chunks_[c])[(i >> kBlockBits) & kChunkMask].get();
+      return b != nullptr ? &(*b)[i & kBlockMask] : nullptr;
+    }
+    const HomeEntry* find(LineAddr line) const {
+      return const_cast<DirTable*>(this)->find(line);
+    }
+    HomeEntry& at(LineAddr line) {
+      const std::uint64_t i = index(line);
+      const std::uint64_t c = i >> (kChunkBits + kBlockBits);
+      if (c >= chunks_.size()) chunks_.resize(c + 1);
+      if (chunks_[c] == nullptr) chunks_[c] = std::make_unique<Chunk>();
+      std::unique_ptr<Block>& b =
+          (*chunks_[c])[(i >> kBlockBits) & kChunkMask];
+      if (b == nullptr) b = std::make_unique<Block>();
+      return (*b)[i & kBlockMask];
+    }
+    /// Drops every block (and chunk); the directory reads empty afterwards.
+    void clear() { chunks_.clear(); }
+
+   private:
+    static constexpr unsigned kBlockBits = kPageBits - kLineBits;  // 128 lines
+    static constexpr unsigned kChunkBits = 10;  // 1024 pages: 4 MB
+    static constexpr std::uint64_t kBlockMask = (1u << kBlockBits) - 1;
+    static constexpr std::uint64_t kChunkMask = (1u << kChunkBits) - 1;
+    using Block = std::array<HomeEntry, 1u << kBlockBits>;
+    using Chunk = std::array<std::unique_ptr<Block>, 1u << kChunkBits>;
+
+    /// The line's index within its FU window.
+    static std::uint64_t index(LineAddr line) {
+      return line & ((1ull << (kFuWindowBits - kLineBits)) - 1);
+    }
+
+    std::vector<std::unique_ptr<Chunk>> chunks_;
+  };
+
+  /// The home directory table owning `line`: its home FU's, so each PDES
+  /// phase worker only ever touches the tables of its own node's FUs.
+  DirTable& dir_for(LineAddr line) {
+    return directory_[home_fu_of(line_base(line))];
   }
-  const FlatMap<LineAddr, HomeEntry>& dir_for(LineAddr line) const {
-    return directory_[topo_.node_of_fu(home_fu_of(line_base(line)))];
+  const DirTable& dir_for(LineAddr line) const {
+    return directory_[home_fu_of(line_base(line))];
   }
-  HomeEntry& home_entry(LineAddr line) { return dir_for(line)[line]; }
-  void maybe_erase(LineAddr line);
+  HomeEntry& home_entry(LineAddr line) { return dir_for(line).at(line); }
 
   sim::Resource& bank_for(PAddr pa) {
     FuState& fu = fus_[home_fu_of(pa)];
@@ -366,12 +415,11 @@ class Machine {
   std::vector<L1Cache> l1_;
   std::vector<FuState> fus_;
   std::vector<sci::GCache> gcaches_;  ///< [node * 4 + ring]
-  /// Home directory: open-addressing flat maps (docs/PERFORMANCE.md) -- one
-  /// cache-friendly probe per access() instead of an unordered_map node
-  /// chase, and no per-line heap allocation.  Sharded one map per home node
-  /// so parallel PDES phase workers (which only operate on lines homed in
-  /// their own shard; everything else gates) never share map internals.
-  std::vector<FlatMap<LineAddr, HomeEntry>> directory_;
+  /// Home directory: one page-indexed table per FU (docs/PERFORMANCE.md),
+  /// created in the constructor and never resized as a set.  Parallel PDES
+  /// phase workers only operate on lines homed in their own node
+  /// (everything else gates), so each table has one writer at a time.
+  std::vector<DirTable> directory_;
   MemObserver* observer_ = nullptr;
   CrossGate* gate_ = nullptr;  ///< PDES cross-shard gate, when attached.
   MemoSink* memo_sink_ = nullptr;  ///< memo quiescence sink, when attached.

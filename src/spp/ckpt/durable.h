@@ -11,7 +11,7 @@
 //   2. optionally commits the epoch to disk (gated by --ckpt-wall-interval;
 //      host-side, charges nothing), and
 //   3. power-cycles the simulated machine (Machine::power_cycle): caches,
-//      directory, TLB MRUs, and resource/ring contention state all reset to
+//      home directory, and resource/ring contention state all reset to
 //      cold.
 //
 // Step 3 is what makes resume bit-exact rather than merely close: the

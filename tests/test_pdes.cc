@@ -1,6 +1,7 @@
 // Tests for the sharded PDES engine (docs/PERFORMANCE.md, "Sharded PDES
 // backend"): deterministic cross-shard event ordering, digest invariance
-// across worker counts, and watchdog supervision of multi-worker phases.
+// across worker counts (including home-directory growth inside parallel
+// phases), and watchdog supervision of multi-worker phases.
 //
 // The engine's contract is that the number of worker threads carrying the
 // shards is a pure host-side detail: every simulated observable --
@@ -20,6 +21,7 @@
 #include "spp/arch/topology.h"
 #include "spp/pdes/event.h"
 #include "spp/rt/conductor.h"
+#include "spp/rt/garray.h"
 #include "spp/rt/runtime.h"
 #include "spp/rt/watchdog.h"
 
@@ -158,6 +160,67 @@ TEST(PdesDigest, NbodyPvmRepeatsBitStableAtFourShards) {
   EXPECT_EQ(first, nbody_pvm_digest(rt::ConductorBackend::kThreads, 0));
   if (rt::fibers_available()) {
     EXPECT_EQ(first, nbody_pvm_digest(rt::ConductorBackend::kFibers, 0));
+  }
+}
+
+// --- home directory blocks first touched inside parallel phases -------------
+
+struct ChurnRun {
+  std::uint64_t digest = 0;
+  std::uint64_t l1_evictions = 0;
+};
+
+// L1s of 4 KB against two 128 KB FarShared arrays.  Each thread sweeps the
+// pages homed on its own node (FarShared deals pages round-robin across
+// nodes), so the phase workers run long stretches without gating while
+// each allocates home-directory page blocks in its own node's tables and
+// evicts and refills lines there.  A last sweep reads the next node's
+// pages, adding remote fills of lines whose blocks already exist.
+ChurnRun miss_churn(rt::ConductorBackend be, unsigned shards) {
+  arch::CostModel cm;
+  cm.l1_bytes = 4 * 1024;
+  const Topology topo{.nodes = 4};
+  rt::Runtime rt(topo, cm, be);
+  if (shards != 0) rt.conductor().set_workers(shards);
+  const std::size_t n = 1u << 14;
+  const std::size_t per_page = arch::kPageBytes / sizeof(double);
+  const std::size_t per_line = arch::kLineBytes / sizeof(double);
+  rt::GlobalArray<double> a(rt, n, arch::MemClass::kFarShared, "churn.a");
+  rt::GlobalArray<double> b(rt, n, arch::MemClass::kFarShared, "churn.b");
+  rt.run([&] {
+    rt.parallel(16, rt::Placement::kUniform, [&](unsigned tid, unsigned) {
+      const unsigned node = topo.node_of_cpu(rt.cpu());
+      const std::size_t stripe = tid / topo.nodes;  // 4 threads per node.
+      for (unsigned pass = 0; pass < 3; ++pass) {
+        const unsigned home = pass < 2 ? node : (node + 1) % topo.nodes;
+        for (std::size_t i = 0; i < n; ++i) {
+          if ((i / per_page) % topo.nodes != home) continue;
+          if ((i / per_line) % 4 != stripe) continue;
+          if (pass < 2) {
+            a.write(i, b.read(i) + 1.0);
+          } else {
+            (void)a.read(i);
+          }
+        }
+      }
+    });
+  });
+  return {rt.machine().perf().digest(rt.elapsed()),
+          rt.machine().perf().l1_evictions};
+}
+
+// Directory blocks created concurrently by the phase workers must not make
+// the digest depend on how many workers carry the shards; the tsan leg runs
+// this test too.
+TEST(PdesDigest, MissChurnInvariantAcrossShardCounts) {
+  const ChurnRun w1 = miss_churn(rt::ConductorBackend::kPdes, 1);
+  EXPECT_GT(w1.l1_evictions, std::uint64_t{1} << 14)
+      << "the arrays must overflow the L1s for this test to bite";
+  EXPECT_EQ(w1.digest, miss_churn(rt::ConductorBackend::kPdes, 2).digest);
+  EXPECT_EQ(w1.digest, miss_churn(rt::ConductorBackend::kPdes, 4).digest);
+  EXPECT_EQ(w1.digest, miss_churn(rt::ConductorBackend::kThreads, 0).digest);
+  if (rt::fibers_available()) {
+    EXPECT_EQ(w1.digest, miss_churn(rt::ConductorBackend::kFibers, 0).digest);
   }
 }
 

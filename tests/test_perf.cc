@@ -1,16 +1,13 @@
 // Regression tests for the wall-clock fast paths (docs/PERFORMANCE.md):
-// the FlatMap backing the home directory, the fiber conductor backend's
+// the page-indexed home directory, the fiber conductor backend's
 // bit-exactness against the OS-thread backend, and the pvm message buffer
 // pre-sizing.  None of these may change simulated time or counters; the
 // digest comparisons here are the oracle that they do not.
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
-#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "spp/arch/flat_map.h"
 #include "spp/arch/machine.h"
 #include "spp/lib/psort.h"
 #include "spp/pvm/pvm.h"
@@ -23,93 +20,17 @@
 namespace spp {
 namespace {
 
-using arch::FlatMap;
 using arch::Topology;
-
-// ---------------------------------------------------------------------------
-// FlatMap vs std::unordered_map under churn
-// ---------------------------------------------------------------------------
-
-TEST(FlatMap, MatchesUnorderedMapUnderChurn) {
-  // The directory workload: dense churn of insert / update / erase / lookup
-  // over a bounded key space (lines wrap around the caches).  Every lookup
-  // must agree with the reference map, including after the backward-shift
-  // deletions that make open addressing tricky.
-  FlatMap<std::uint64_t, std::uint64_t> fm;
-  std::unordered_map<std::uint64_t, std::uint64_t> ref;
-  std::uint64_t x = 88172645463325252ull;  // xorshift64 state.
-  const auto next = [&x]() {
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    return x;
-  };
-  for (int op = 0; op < 200000; ++op) {
-    const std::uint64_t key = next() % 2048;
-    switch (next() % 4) {
-      case 0:
-      case 1: {  // insert or update.
-        const std::uint64_t v = next();
-        fm[key] = v;
-        ref[key] = v;
-        break;
-      }
-      case 2: {  // erase.
-        fm.erase(key);
-        ref.erase(key);
-        break;
-      }
-      default: {  // lookup.
-        const std::uint64_t* got = fm.find(key);
-        const auto it = ref.find(key);
-        if (it == ref.end()) {
-          ASSERT_EQ(got, nullptr) << "key " << key << " at op " << op;
-        } else {
-          ASSERT_NE(got, nullptr) << "key " << key << " at op " << op;
-          ASSERT_EQ(*got, it->second) << "key " << key << " at op " << op;
-        }
-        break;
-      }
-    }
-    ASSERT_EQ(fm.size(), ref.size()) << "at op " << op;
-  }
-  // Full-content sweep both ways.
-  std::size_t walked = 0;
-  fm.for_each([&](const std::uint64_t& k, const std::uint64_t& v) {
-    ++walked;
-    const auto it = ref.find(k);
-    ASSERT_NE(it, ref.end()) << "key " << k;
-    EXPECT_EQ(v, it->second) << "key " << k;
-  });
-  EXPECT_EQ(walked, ref.size());
-}
-
-TEST(FlatMap, SurvivesGrowthFromEmptyAndClear) {
-  FlatMap<std::uint64_t, int> fm;
-  EXPECT_EQ(fm.find(7), nullptr);
-  EXPECT_TRUE(fm.empty());
-  for (std::uint64_t k = 0; k < 10000; ++k) fm[k] = static_cast<int>(k);
-  EXPECT_EQ(fm.size(), 10000u);
-  for (std::uint64_t k = 0; k < 10000; ++k) {
-    ASSERT_NE(fm.find(k), nullptr);
-    ASSERT_EQ(*fm.find(k), static_cast<int>(k));
-  }
-  fm.clear();
-  EXPECT_TRUE(fm.empty());
-  EXPECT_EQ(fm.find(0), nullptr);
-  fm[3] = 4;
-  EXPECT_EQ(fm.size(), 1u);
-}
 
 // ---------------------------------------------------------------------------
 // Directory churn at machine level, cross-checked against dir_view
 // ---------------------------------------------------------------------------
 
-TEST(DirectoryFlatMap, ChurnAcrossNodesKeepsInvariants) {
+TEST(HomeDirectory, ChurnAcrossNodesKeepsInvariants) {
   // Drive enough distinct lines through enough CPUs on two hypernodes that
-  // the directory sees sustained insert / erase / evict churn (a deliberately
-  // tiny gcache makes SCI entries recycle constantly), then verify the
-  // protocol invariants and directory view for a sweep of lines.
+  // the directory sees sustained fill / evict churn (a deliberately tiny
+  // gcache makes SCI entries recycle constantly), then verify the protocol
+  // invariants and directory view for a sweep of lines.
   arch::CostModel cm;
   cm.gcache_bytes = 64 * arch::kLineBytes;
   rt::Runtime runtime(Topology{.nodes = 2}, cm);
@@ -124,13 +45,15 @@ TEST(DirectoryFlatMap, ChurnAcrossNodesKeepsInvariants) {
                        if ((i & 7u) == 0) a.read(n - 1 - i);
                      });
   });
-  const arch::Machine& m = runtime.machine();
+  arch::Machine& m = runtime.machine();
+  auto line_at = [&](arch::VAddr va) {
+    return arch::line_of(m.vm().translate(va, 0));
+  };
   unsigned present = 0;
   for (std::size_t i = 0; i < n; i += 16) {
     ASSERT_TRUE(m.check_line_invariants(a.vaddr(i))) << "a line at " << i;
     ASSERT_TRUE(m.check_line_invariants(b.vaddr(i))) << "b line at " << i;
-    const auto dv = m.dir_view(arch::line_of(
-        m.vm().translate(a.vaddr(i), 0)));
+    const auto dv = m.dir_view(line_at(a.vaddr(i)));
     if (dv.present) {
       ++present;
       // A present entry is non-empty by construction: some sharer, owner,
@@ -143,6 +66,55 @@ TEST(DirectoryFlatMap, ChurnAcrossNodesKeepsInvariants) {
   EXPECT_GT(present, 0u) << "churn must leave live directory entries behind";
   EXPECT_GT(m.perf().gcache_evictions, 0u)
       << "working set must overflow the gcaches for this test to bite";
+
+  // A power cycle drops every directory block: nothing reads present.
+  m.power_cycle();
+  for (std::size_t i = 0; i < n; i += 16) {
+    ASSERT_FALSE(m.dir_view(line_at(a.vaddr(i))).present) << "a line at " << i;
+    ASSERT_FALSE(m.dir_view(line_at(b.vaddr(i))).present) << "b line at " << i;
+  }
+}
+
+TEST(HomeDirectory, LineReadsAbsentOnceItsLastCopyIsEvicted) {
+  // Entries are never erased; an entry whose last L1 and gcache copies are
+  // gone must still read as absent.
+  arch::CostModel cm;
+  cm.gcache_bytes = 4 * arch::kLineBytes;  // 4 sets: easy conflicts.
+  arch::Machine m(Topology{.nodes = 2}, cm);
+  auto line_at = [&](arch::VAddr va) {
+    return arch::line_of(m.vm().translate(va, 0));
+  };
+  sim::Time t = 0;
+
+  // Local home: written by cpu 0, read by cpu 1 (both node 0), then both
+  // L1s are flushed.
+  const arch::VAddr local =
+      m.vm().allocate(arch::kPageBytes, arch::MemClass::kNearShared, "l", 0);
+  t = m.access(0, local, true, t);
+  t = m.access(1, local, false, t);
+  ASSERT_TRUE(m.dir_view(line_at(local)).present);
+  m.flush_l1(0);
+  EXPECT_TRUE(m.dir_view(line_at(local)).present) << "cpu 1 still shares";
+  m.flush_l1(1);
+  EXPECT_FALSE(m.dir_view(line_at(local)).present);
+
+  // Remote home: node 0 (cpu 0) reads a line homed on node 1.  Flushing the
+  // L1 leaves the node's gcache copy on the SCI list; conflicting remote
+  // fills then evict the gcache entry too.
+  const arch::VAddr remote = m.vm().allocate(
+      64 * arch::kPageBytes, arch::MemClass::kNearShared, "r", 1);
+  const arch::LineAddr line = line_at(remote);
+  const unsigned ring =
+      m.topo().ring_of_fu(arch::home_fu_of(arch::line_base(line)));
+  t = m.access(0, remote, false, t);
+  m.flush_l1(0);
+  ASSERT_TRUE(m.gcache(0, ring).present(line));
+  EXPECT_TRUE(m.dir_view(line).present) << "the gcache copy is listed";
+  for (unsigned k = 1; k <= 64 && m.gcache(0, ring).present(line); ++k) {
+    t = m.access(2, remote + k * 4 * arch::kLineBytes, false, t);
+  }
+  ASSERT_FALSE(m.gcache(0, ring).present(line));
+  EXPECT_FALSE(m.dir_view(line).present);
 }
 
 // ---------------------------------------------------------------------------

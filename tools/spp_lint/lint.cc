@@ -843,7 +843,7 @@ void check_digest_iter(const std::vector<SourceFile>& files, Result& res) {
                    "' in '" + d.name + "', which is reachable from "
                    "PerfCounters::digest / ckpt::Store::capture; hash order "
                    "varies across hosts and libstdc++ versions -- iterate a "
-                   "sorted copy or use FlatMap/std::map");
+                   "sorted copy or use std::map");
           break;
         }
       }
