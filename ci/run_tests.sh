@@ -9,17 +9,15 @@
 # gating check of that.  The sanitized leg also runs the end-to-end survivable-run smoke
 # (sppsim-explore survive + chaos, docs/RECOVERY.md): all four apps must
 # recover from a mid-run CPU fail-stop to the fault-free answer, under
-# asan, with the spp::check oracles attached.
+# asan, with the spp::check oracles attached.  Every sanitized leg halts
+# on the first UBSan report (UBSAN_OPTIONS=halt_on_error=1), so a new
+# "runtime error:" fails the leg instead of scrolling past.
 #
 # A non-gating bench-smoke leg (--bench-smoke) builds Release with the
 # fiber backend and runs sppsim-bench --smoke under BOTH conductor
 # backends: it fails only on simulated-time or counter-digest divergence
-# (docs/PERFORMANCE.md), never on wall-clock numbers.  The bench set
-# includes the trace-memoization acceptance pairs (ppm/ppm_memo,
-# fem/fem_inner and friends); sppsim-bench itself cross-checks each
-# <name>_memo digest against its <name> base, so a memo-on run that
-# diverges from full execution fails this leg even before --check
-# compares against the committed bench/baselines.
+# (docs/PERFORMANCE.md), never on wall-clock numbers, then checks every
+# digest against the committed bench/baselines.
 #
 # The sanitized leg also runs a kill-resume smoke (docs/RECOVERY.md):
 # nbody runs with durable on-disk checkpoints (--ckpt-dir), is SIGKILLed
@@ -49,22 +47,13 @@
 # shard count resumes bit-exact at another, and runs the PDES tests under
 # ThreadSanitizer so the shard queues' memory ordering is machine-checked.
 #
-# A gating --memo-smoke leg covers trace memoization (spp::memo,
-# docs/PERFORMANCE.md "Trace memoization"): the full tier-1 suite runs
-# with SPP_MEMO=verify under AddressSanitizer -- every Nth memo replay
-# re-executes its ops and asserts bit-exact counter deltas, so a learned
-# trace that drifts from real execution aborts the suite -- and then the
-# suite runs again with SPP_MEMO=on under the sharded PDES engine at 4
-# workers, the configuration where replay, fusion parks, and cross-shard
-# invalidation interact.
-#
 # A gating --perfbench-smoke leg runs the repo benchmark (perfbench/,
 # BENCHMARK.json) once per workload at one second with per-layer tracing.
 # It gates on the benchmark's own correctness checks -- digest repeat,
 # conservation, figure bands and the shadow-machine replay of every access,
 # which copies the VMem page table -- and never on a time.
 #
-# Usage: ci/run_tests.sh [--plain-only|--sanitize-only|--tsan-only|--werror-only|--survive-only|--bench-smoke|--lint-only|--analyze-only|--pdes-smoke|--memo-smoke|--perfbench-smoke]
+# Usage: ci/run_tests.sh [--plain-only|--sanitize-only|--tsan-only|--werror-only|--survive-only|--bench-smoke|--lint-only|--analyze-only|--pdes-smoke|--perfbench-smoke]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -142,6 +131,7 @@ chaos_disk_smoke() {
 
 if [[ "$MODE" == "all" || "$MODE" == "--sanitize-only" ]]; then
   echo "=== tier-1: address,undefined sanitized build ==="
+  export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
   run_suite build-asan \
     -DSPP_SANITIZE=address,undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
@@ -151,6 +141,7 @@ if [[ "$MODE" == "all" || "$MODE" == "--sanitize-only" ]]; then
 fi
 
 if [[ "$MODE" == "--survive-only" ]]; then
+  export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
   cmake -B build-asan -S . \
     -DSPP_SANITIZE=address,undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
@@ -276,35 +267,12 @@ if [[ "$MODE" == "--pdes-smoke" ]]; then
     ctest --test-dir build --output-on-failure -j "$JOBS"
   pdes_resume_smoke build
 
-  echo "=== pdes-smoke: shard queues, PVM task lookup and phase-time directory growth (PdesDigest.MissChurnInvariantAcrossShardCounts) under tsan ==="
+  echo "=== pdes-smoke: shard queues, PVM task lookup, phase-time directory growth (PdesDigest.MissChurnInvariantAcrossShardCounts) and FEM gathers (PdesDigest.FemInvariantAcrossShardCounts) under tsan ==="
   cmake -B build-tsan -S . \
     -DSPP_SANITIZE=thread \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-tsan -j "$JOBS" --target test_pdes
   SPP_CONDUCTOR=pdes SPP_SHARDS=4 build-tsan/tests/test_pdes
-fi
-
-# Gating: trace memoization under its two hardest configurations.  Verify
-# mode re-executes every Nth replay and cross-checks counter deltas
-# bit-exactly (throwing memo::VerifyError on drift), so running the whole
-# suite under it turns every test into a replay-fidelity check; asan
-# additionally catches any stale-pointer use in the trace buffers.  The
-# second half runs the suite with plain memoization under the sharded
-# engine, exercising the fusion-park and cross-shard invalidation paths
-# the fiber backend never takes.
-if [[ "$MODE" == "--memo-smoke" ]]; then
-  echo "=== memo-smoke: tier-1 under SPP_MEMO=verify + asan ==="
-  cmake -B build-asan -S . \
-    -DSPP_SANITIZE=address,undefined \
-    -DCMAKE_BUILD_TYPE=RelWithDebInfo
-  cmake --build build-asan -j "$JOBS"
-  SPP_MEMO=verify ctest --test-dir build-asan --output-on-failure -j "$JOBS"
-
-  echo "=== memo-smoke: tier-1 under SPP_MEMO=on, pdes @ 4 shards ==="
-  cmake -B build -S .
-  cmake --build build -j "$JOBS"
-  SPP_MEMO=on SPP_CONDUCTOR=pdes SPP_SHARDS=4 \
-    ctest --test-dir build --output-on-failure -j "$JOBS"
 fi
 
 # Gating: each perfbench workload must report "correct": true and a shadow

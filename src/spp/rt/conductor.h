@@ -77,10 +77,6 @@
 #include "spp/rt/ready_queue.h"
 #include "spp/sim/time.h"
 
-namespace spp::memo {
-struct ThreadState;
-}
-
 namespace spp::rt {
 
 class Conductor;
@@ -91,7 +87,10 @@ namespace detail {
 /// The simulated thread the calling OS thread is currently executing
 /// (Conductor::self()).  Exposed here only so self() inlines into the
 /// charged-op fast paths; everything else must go through Conductor.
-extern thread_local SThread* tls_current;
+/// constinit tells every includer there is no dynamic initializer, so a
+/// read is a plain TLS load; without it gcc probes a weak TLS-init symbol
+/// first, and UBSan misreads that probe as a null-pointer load.
+extern constinit thread_local SThread* tls_current;
 }  // namespace detail
 
 /// Which mechanism carries simulated-thread stacks (and, for kPdes, whether
@@ -179,12 +178,6 @@ class SThread {
 
   Conductor& conductor() { return *conductor_; }
 
-  /// Trace-memoization state (spp::memo), attached by rt::Runtime while
-  /// memoization is enabled for this thread; null otherwise, so the charged
-  /// op fast paths pay one pointer test.
-  memo::ThreadState* memo_state() { return memo_state_; }
-  void set_memo_state(memo::ThreadState* s) { memo_state_ = s; }
-
   /// The task id a message-passing layer (spp::pvm) runs on this thread, or
   /// -1 unless `owner` set one.  Kept on the thread itself, so no shared
   /// table is written while PDES shard workers run other threads.
@@ -220,7 +213,6 @@ class SThread {
   State state_ = State::kReady;
   BlockReason reason_;  ///< wait-for edge while Blocked.
   std::function<void()> fn_;
-  memo::ThreadState* memo_state_ = nullptr;  ///< set by rt::Runtime.
   const void* task_owner_ = nullptr;  ///< see task_id().
   int task_id_ = -1;
 
@@ -294,8 +286,8 @@ class Conductor : public arch::CrossGate {
            sim::Time start = 0);
 
   /// The currently running simulated thread (valid only while inside one).
-  /// Inline (a single thread-local load) because every charged operation --
-  /// including the memo replay fast path -- starts here.
+  /// Inline (a single thread-local load) because every charged operation
+  /// starts here.
   static SThread& self() {
     assert(detail::tls_current != nullptr && "not inside a simulated thread");
     return *detail::tls_current;
@@ -321,15 +313,9 @@ class Conductor : public arch::CrossGate {
   /// Quantum-based scheduling point used by charged operations: checks every
   /// `quantum` of local progress and hands off with hysteresis, so
   /// concurrent threads interleave at a few-microsecond granularity without
-  /// a kernel round trip per memory access.
-  void quantum_yield(sim::Time quantum = 400 * sim::kNanosecond) {
-    quantum_yield_at(self(), quantum);
-  }
-  /// Same, for callers that already hold the running thread (the memo replay
-  /// fast path performs this exact check per fast-forwarded op, so replay
-  /// preserves the full pipeline's deterministic schedule bit-for-bit).
-  void quantum_yield_at(SThread& me,
-                        sim::Time quantum = 400 * sim::kNanosecond) {
+  /// a kernel round trip per memory access.  `me` is the running thread.
+  void quantum_yield(SThread& me,
+                     sim::Time quantum = 400 * sim::kNanosecond) {
     if (me.clock_ - me.last_yield_ >= quantum) {
       yield(4 * sim::kMicrosecond);
     }

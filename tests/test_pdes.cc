@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "spp/apps/fem/femgas.h"
 #include "spp/apps/nbody/nbody.h"
 #include "spp/apps/nbody/nbody_pvm.h"
 #include "spp/apps/ppm/ppm.h"
@@ -124,6 +125,31 @@ TEST(PdesDigest, PpmInvariantAcrossShardCounts) {
   EXPECT_EQ(w1, ppm_digest(rt::ConductorBackend::kThreads, 0));
   if (rt::fibers_available()) {
     EXPECT_EQ(w1, ppm_digest(rt::ConductorBackend::kFibers, 0));
+  }
+}
+
+// Two hypernodes with threads dealt across both, as Figure 7 runs at
+// np >= 9: the unstructured gathers cross nodes inside parallel phases.
+std::uint64_t fem_digest(rt::ConductorBackend be, unsigned shards) {
+  rt::Runtime rt(Topology{.nodes = 2}, arch::CostModel{}, be);
+  if (shards != 0) rt.conductor().set_workers(shards);
+  fem::FemConfig cfg;
+  cfg.nx = 16;
+  cfg.ny = 12;
+  cfg.steps = 3;
+  fem::FemGas app(rt, cfg, 12, rt::Placement::kUniform);
+  app.init_blast(2.0, 3.0);
+  rt.run([&] { (void)app.run(); });
+  return rt.machine().perf().digest(rt.elapsed());
+}
+
+TEST(PdesDigest, FemInvariantAcrossShardCounts) {
+  const std::uint64_t w1 = fem_digest(rt::ConductorBackend::kPdes, 1);
+  EXPECT_EQ(w1, fem_digest(rt::ConductorBackend::kPdes, 2));
+  EXPECT_EQ(w1, fem_digest(rt::ConductorBackend::kPdes, 4));
+  EXPECT_EQ(w1, fem_digest(rt::ConductorBackend::kThreads, 0));
+  if (rt::fibers_available()) {
+    EXPECT_EQ(w1, fem_digest(rt::ConductorBackend::kFibers, 0));
   }
 }
 
